@@ -81,16 +81,14 @@ bool cacheEnabled() {
   return !Ctx || Ctx->CacheEnabled;
 }
 
-std::string projectionKey(const CanonicalConjunct &Canon, const VarSet &Vars,
+/// The canonical key (prefix-free) followed by the projected ids and the
+/// mode, in the same varint encoding.
+std::string projectionKey(std::string Key, const VarSet &Vars,
                           ShadowMode Mode) {
-  std::string Key = Canon.Key;
-  Key += "|P:";
-  for (const std::string &V : Vars) {
-    Key += V;
-    Key += ',';
-  }
-  Key += "|M:";
-  Key += std::to_string(static_cast<int>(Mode));
+  appendKeyVarint(Key, Vars.size());
+  for (VarId V : Vars.ids())
+    appendKeyVarint(Key, V.raw());
+  appendKeyVarint(Key, static_cast<uint64_t>(Mode));
   return Key;
 }
 
@@ -122,7 +120,8 @@ bool omega::feasible(const Conjunct &C) {
     PinnedScope Pin;
     Result = detail::feasibleImpl(Canon.C);
   }
-  pipelineStats().CacheEvictions += feasCache().insert(Canon.Key, Result);
+  pipelineStats().CacheEvictions +=
+      feasCache().insert(std::move(Canon.Key), Result);
   return Result;
 }
 
@@ -144,7 +143,7 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
     return Result;
   }
 
-  std::string Key = projectionKey(Canon, Vars, Mode);
+  std::string Key = projectionKey(std::move(Canon.Key), Vars, Mode);
   if (std::optional<std::vector<Conjunct>> Hit = projCache().lookup(Key)) {
     pipelineStats().CacheHits += 1;
     Span.count(TraceCounter::CacheHits);
@@ -158,7 +157,7 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
     PinnedScope Pin;
     Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
   }
-  pipelineStats().CacheEvictions += projCache().insert(Key, Result);
+  pipelineStats().CacheEvictions += projCache().insert(std::move(Key), Result);
   Span.count(TraceCounter::ClausesOut, Result.size());
   return Result;
 }

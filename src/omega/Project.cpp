@@ -81,6 +81,51 @@ BoundSet collectBounds(const Conjunct &C, VarId V) {
 /// Returns false iff the clause is syntactically infeasible.
 bool normalizeClause(Conjunct &C) { return normalizeConjunct(C); }
 
+/// Folds Ge constraints with the same variable part — the Omega test's own
+/// normalization, exact over the integers:
+///   * e + c1 >= 0 and e + c2 >= 0 keep only the smaller constant;
+///   * e + c1 >= 0 and -e + c2 >= 0 pin -c1 <= e <= c2, so the clause is
+///     infeasible when c1 + c2 < 0 and collapses to e + c1 = 0 when
+///     c1 + c2 = 0.
+/// Returns false iff the clause is proven infeasible.  It changes clause
+/// shapes (an equality appears where two bounds stood), so only the
+/// feasibility engine, which discards its clauses, applies it.
+bool tightenParallelBounds(Conjunct &C) {
+  std::vector<Constraint> &Ks = C.constraints();
+  for (size_t I = 0; I < Ks.size(); ++I) {
+    if (!Ks[I].isGe())
+      continue;
+    for (size_t J = I + 1; J < Ks.size();) {
+      const LinearMatch M =
+          Ks[J].isGe() ? Ks[I].expr().matchLinear(Ks[J].expr())
+                       : LinearMatch::None;
+      if (M == LinearMatch::None) {
+        ++J;
+        continue;
+      }
+      const BigInt &CI = Ks[I].expr().constant();
+      const BigInt &CJ = Ks[J].expr().constant();
+      if (M == LinearMatch::Same) {
+        if (CJ < CI)
+          Ks[I].expr().setConstant(CJ);
+        Ks.erase(Ks.begin() + J);
+        continue;
+      }
+      const int Width = (CI + CJ).sign();
+      if (Width < 0)
+        return false;
+      if (Width > 0) {
+        ++J;
+        continue;
+      }
+      Ks[I] = Constraint::eq(std::move(Ks[I].expr()));
+      Ks.erase(Ks.begin() + J);
+      break; // Ks[I] is no longer an inequality.
+    }
+  }
+  return true;
+}
+
 /// The projection engine.  Eliminates a target set of variables from a
 /// clause, emitting result clauses (wildcard-free, strides allowed) into
 /// Results.  StopAfterFirst turns it into a feasibility engine.
@@ -110,6 +155,10 @@ public:
 
     while (true) {
       if (!normalizeClause(C))
+        return;
+      // Only emptiness matters when stopping after the first result;
+      // projections keep their clause shapes (and hence the goldens).
+      if (StopAfterFirst && !tightenParallelBounds(C))
         return;
       chargeClauseCoefficients(C);
 
@@ -261,14 +310,26 @@ private:
     // name-least variable, as with the former string set.
     for (auto It = Targets.begin(); It != Targets.end(); ++It) {
       VarId V = It.id();
-      BoundSet B = collectBounds(C, V);
-      bool Exact = true;
-      for (const Bound &L : B.Lowers)
-        for (const Bound &U : B.Uppers)
-          if (!L.Coef.isOne() && !U.Coef.isOne())
-            Exact = false;
-      size_t Cost = std::max<size_t>(1, B.Lowers.size()) *
-                    std::max<size_t>(1, B.Uppers.size());
+      // Counts straight from the coefficients (collectBounds would copy
+      // every bound): a*v + rest >= 0 is a lower bound when a > 0, an upper
+      // bound with coefficient -a otherwise.
+      size_t Lowers = 0, Uppers = 0;
+      bool LowerNonUnit = false, UpperNonUnit = false;
+      for (const Constraint &K : C.constraints()) {
+        if (!K.isGe())
+          continue;
+        const BigInt &A = K.expr().coeff(V);
+        if (A.isPositive()) {
+          ++Lowers;
+          LowerNonUnit = LowerNonUnit || !A.isOne();
+        } else if (A.isNegative()) {
+          ++Uppers;
+          UpperNonUnit = UpperNonUnit || !A.isMinusOne();
+        }
+      }
+      // Exact iff every (lower, upper) pair has a unit side.
+      bool Exact = !(LowerNonUnit && UpperNonUnit);
+      size_t Cost = std::max<size_t>(1, Lowers) * std::max<size_t>(1, Uppers);
       if (!Found || (Exact && !BestExact) ||
           (Exact == BestExact && Cost < BestCost)) {
         Found = true;

@@ -47,19 +47,22 @@ std::vector<Constraint> negateConstraint(const Constraint &K) {
 bool contradictsSyntactically(const Conjunct &Ctx, const Constraint &B) {
   if (!B.isGe())
     return false;
+  const BigInt &CB = B.expr().constant();
   for (const Constraint &K : Ctx.constraints()) {
     if (K.kind() == ConstraintKind::Stride)
       continue;
-    AffineExpr Sum = K.expr() + B.expr();
-    if (Sum.isConstant() && Sum.constant().sign() < 0)
+    const LinearMatch M = K.expr().matchLinear(B.expr());
+    if (M == LinearMatch::None)
+      continue;
+    const BigInt &CK = K.expr().constant();
+    // K + B is constant: opposite parts, or two constants.
+    if ((M == LinearMatch::Opposite || B.expr().isConstant()) &&
+        (CK + CB).sign() < 0)
       return true;
-    if (K.kind() == ConstraintKind::Eq) {
-      // e = 0 also supplies -e >= 0; B - e constant-negative is the same
-      // cancellation against that direction.
-      AffineExpr Diff = B.expr() - K.expr();
-      if (Diff.isConstant() && Diff.constant().sign() < 0)
-        return true;
-    }
+    // e = 0 also supplies -e >= 0; B - e constant-negative is the same
+    // cancellation against that direction.
+    if (K.isEq() && M == LinearMatch::Same && CB < CK)
+      return true;
   }
   return false;
 }
@@ -81,10 +84,9 @@ bool contextImplies(const Conjunct &Ctx, const Constraint &K) {
 /// with identical coefficient vectors are compared: e + c1 >= 0 is
 /// redundant given e + c2 >= 0 when c2 <= c1.
 bool singleConstraintRedundant(const Constraint &A, const Constraint &B) {
-  if (!A.isGe() || !B.isGe())
-    return false;
-  AffineExpr Diff = A.expr() - B.expr();
-  return Diff.isConstant() && Diff.constant().sign() >= 0;
+  return A.isGe() && B.isGe() &&
+         A.expr().matchLinear(B.expr()) == LinearMatch::Same &&
+         A.expr().constant() >= B.expr().constant();
 }
 
 } // namespace

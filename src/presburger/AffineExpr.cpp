@@ -425,6 +425,24 @@ BigInt AffineExpr::evaluate(const Assignment &Values) const {
   return R;
 }
 
+LinearMatch AffineExpr::matchLinear(const AffineExpr &RHS) const {
+  if (Size != RHS.Size)
+    return LinearMatch::None;
+  // Coefficients are never zero, so with any term present at most one of
+  // Same and Opposite can survive the sweep.
+  bool Same = true, Opposite = Size != 0;
+  for (uint32_t I = 0; I < Size; ++I) {
+    const Term &L = Terms[I], &R = RHS.Terms[I];
+    if (L.Var != R.Var)
+      return LinearMatch::None;
+    Same = Same && L.Coef == R.Coef;
+    Opposite = Opposite && L.Coef.isNegationOf(R.Coef);
+    if (!Same && !Opposite)
+      return LinearMatch::None;
+  }
+  return Same ? LinearMatch::Same : LinearMatch::Opposite;
+}
+
 BigInt AffineExpr::coeffGcd() const {
   BigInt G(0);
   for (uint32_t I = 0; I < Size; ++I) {

@@ -40,6 +40,13 @@
 
 namespace omega {
 
+/// How two expressions' variable parts relate, constants ignored.
+enum class LinearMatch {
+  None,    ///< Neither equal nor negated.
+  Same,    ///< Equal coefficient for every variable.
+  Opposite ///< Negated coefficient for every variable.
+};
+
 // The IR-layer observability counters (ExprCounters, exprCounters()) live
 // in support/Stats.h so per-query stats blocks can hold a set; the flat
 // term storage below is their only producer.
@@ -142,6 +149,13 @@ public:
   /// The term whose variable name sorts first (the map's begin()); the
   /// expression must mention at least one variable.
   const Term &leadTermByName() const;
+
+  /// Compares the variable parts of this expression and \p RHS in place
+  /// (no temporaries): Same, Opposite or None.  Two zero-variable
+  /// expressions have equal — and equally negated — parts; that case
+  /// reports Same, so callers testing for cancellation must also accept
+  /// Same when isConstant().
+  LinearMatch matchLinear(const AffineExpr &RHS) const;
 
   bool isConstant() const { return Size == 0; }
   bool isZero() const { return Size == 0 && Const.isZero(); }

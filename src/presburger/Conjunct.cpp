@@ -149,6 +149,35 @@ std::ostream &omega::operator<<(std::ostream &OS, const Conjunct &C) {
   return OS << C.toString();
 }
 
+void omega::appendKeyVarint(std::string &Key, uint64_t V) {
+  while (V >= 0x80) {
+    Key += static_cast<char>(static_cast<uint8_t>(V) | 0x80);
+    V >>= 7;
+  }
+  Key += static_cast<char>(V);
+}
+
+namespace {
+
+/// Appends \p V self-delimited: a value in BigInt's inline range is the
+/// varint of its zigzag code shifted left one bit (tag 0); anything larger
+/// is the varint of (length << 1 | 1) followed by its decimal digits.
+void appendKeyValue(std::string &Key, const BigInt &V) {
+  if (V.isSmallRep()) {
+    // |V| < 2^62, so the zigzag code is below 2^63 and the shift is exact.
+    const int64_t X = V.toInt64();
+    const uint64_t Zig =
+        (static_cast<uint64_t>(X) << 1) ^ static_cast<uint64_t>(X >> 63);
+    appendKeyVarint(Key, Zig << 1);
+    return;
+  }
+  const std::string Digits = V.toString();
+  appendKeyVarint(Key, (uint64_t(Digits.size()) << 1) | 1);
+  Key += Digits;
+}
+
+} // namespace
+
 CanonicalConjunct omega::canonicalConjunct(const Conjunct &In) {
   CanonicalConjunct Out;
   std::vector<Constraint> Ks;
@@ -168,41 +197,39 @@ CanonicalConjunct omega::canonicalConjunct(const Conjunct &In) {
   std::sort(Ks.begin(), Ks.end());
   Ks.erase(std::unique(Ks.begin(), Ks.end()), Ks.end());
 
-  // The key sweeps the flat rows: kind, modulus, then (id, coefficient)
-  // pairs in storage (id) order plus the constant.  The constraint *order*
-  // above is the observable name-based sort; only the per-constraint
-  // rendering uses ids.
+  // The key sweeps the flat rows (DESIGN.md §8): the constraint count, then
+  // per constraint its kind byte, a stride's modulus, the term count, the
+  // (id, coefficient) pairs in storage (id) order and the constant; last the
+  // used wildcard ids.  Every field is self-delimiting, so the key decodes
+  // back to the clause and distinct canonical clauses get distinct keys.
+  // The constraint *order* above is the observable name-based sort; only
+  // the per-constraint rendering uses ids.
   std::string Key;
-  Key.reserve(16 + Ks.size() * 24);
+  Key.reserve(8 + Ks.size() * 12);
+  appendKeyVarint(Key, Ks.size());
   for (Constraint &K : Ks) {
-    Key += static_cast<char>('0' + static_cast<int>(K.kind()));
-    Key += '|';
-    if (K.isStride()) {
-      Key += K.modulus().toString();
-      Key += '|';
-    }
+    Key += static_cast<char>(K.kind());
+    if (K.isStride())
+      appendKeyValue(Key, K.modulus());
     const AffineExpr &E = K.expr();
+    appendKeyVarint(Key, E.numVars());
     for (const auto &[V, C] : E.terms()) {
-      Key += std::to_string(V.raw());
-      Key += ':';
-      Key += C.toString();
-      Key += ' ';
+      appendKeyVarint(Key, V.raw());
+      appendKeyValue(Key, C);
     }
-    Key += 'c';
-    Key += E.constant().toString();
-    Key += '&';
+    appendKeyValue(Key, E.constant());
     Out.C.add(std::move(K));
   }
   // Only wildcards the canonical constraints still mention are part of the
   // clause's meaning (and of the key).
   VarSet Used = Out.C.mentionedVars();
-  Key += "W:";
   for (VarId W : In.wildcards().ids())
-    if (Used.contains(W)) {
+    if (Used.contains(W))
       Out.C.addWildcard(W);
-      Key += std::to_string(W.raw());
-      Key += ',';
-    }
+  const std::vector<VarId> &Wilds = Out.C.wildcards().ids();
+  appendKeyVarint(Key, Wilds.size());
+  for (VarId W : Wilds)
+    appendKeyVarint(Key, W.raw());
   Out.Key = std::move(Key);
   return Out;
 }

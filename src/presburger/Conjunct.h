@@ -17,6 +17,7 @@
 
 #include "presburger/Constraint.h"
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -115,14 +116,22 @@ std::ostream &operator<<(std::ostream &OS, const Conjunct &C);
 /// reusing a memoized result (DESIGN.md §8).  Clauses that differ only in
 /// constraint order or in un-normalized coefficient scaling share a key;
 /// alpha-variants (same clause, different wildcard names) do not, which
-/// costs cache capacity but never correctness.  The key encodes interned
-/// VarIds (bijective with names within a process), so building it sweeps
-/// the flat term rows without rendering names; keys are process-local,
-/// exactly like the cache they index.
+/// costs cache capacity but never correctness.
+///
+/// The key is a prefix-free binary encoding of the canonical clause over
+/// interned VarIds (bijective with names within a process): varint counts
+/// and ids, zigzag-varint values, and a length-tagged decimal escape for
+/// values beyond BigInt's inline range.  It decodes back to the canonical
+/// clause, so distinct canonical clauses get distinct keys; no valid key
+/// equals "UNSAT".  Keys are process-local, exactly like the cache they
+/// index.
 struct CanonicalConjunct {
   Conjunct C;      ///< The canonical form; semantically equal to the input.
   std::string Key; ///< Equal keys imply semantically equal clauses.
 };
+
+/// Appends \p V to a cache key as a LEB128 varint (self-delimiting).
+void appendKeyVarint(std::string &Key, uint64_t V);
 
 CanonicalConjunct canonicalConjunct(const Conjunct &In);
 

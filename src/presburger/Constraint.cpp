@@ -84,9 +84,10 @@ bool Constraint::normalize() {
     // Canonicalize by a unit: when the leading coefficient is invertible
     // mod Mod, scale so it becomes 1 (m | 2x+2 with m=3 becomes m | x+1).
     // "Leading" is the name-minimal term, as in the map representation.
+    // A unit lead (the usual case once normalized) is already canonical.
     const BigInt &Lead = Expr.leadTermByName().Coef;
     BigInt X, Y;
-    if (BigInt::extendedGcd(Lead, Mod, X, Y).isOne()) {
+    if (!Lead.isOne() && BigInt::extendedGcd(Lead, Mod, X, Y).isOne()) {
       BigInt Inv = BigInt::floorMod(X, Mod);
       AffineExpr Scaled;
       Scaled.setConstant(BigInt::floorMod(Expr.constant() * Inv, Mod));

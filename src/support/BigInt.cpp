@@ -34,7 +34,7 @@ void BigInt::initLarge(long long V) {
   Negative = Neg;
   Limbs.assign({static_cast<uint32_t>(Mag),
                 static_cast<uint32_t>(Mag >> 32)});
-  detail::ArithStats.Spills.fetch_add(1, std::memory_order_relaxed);
+  arithCounters().Spills.fetch_add(1, std::memory_order_relaxed);
   traceCount(TraceCounter::BigIntSpills);
 }
 
@@ -43,7 +43,7 @@ void BigInt::initLarge(unsigned long long V) {
   IsSmall = false;
   Negative = false;
   Limbs.assign({static_cast<uint32_t>(V), static_cast<uint32_t>(V >> 32)});
-  detail::ArithStats.Spills.fetch_add(1, std::memory_order_relaxed);
+  arithCounters().Spills.fetch_add(1, std::memory_order_relaxed);
   traceCount(TraceCounter::BigIntSpills);
 }
 
@@ -70,7 +70,7 @@ void BigInt::setLarge(bool Neg, std::vector<uint32_t> &&Mag) {
   IsSmall = false;
   Negative = Neg;
   Limbs = std::move(Mag);
-  detail::ArithStats.Spills.fetch_add(1, std::memory_order_relaxed);
+  arithCounters().Spills.fetch_add(1, std::memory_order_relaxed);
   traceCount(TraceCounter::BigIntSpills);
 }
 

@@ -240,6 +240,14 @@ public:
   friend bool operator!=(const BigInt &L, const BigInt &R) {
     return !(L == R);
   }
+  /// True iff this value equals -RHS, without materializing -RHS.
+  bool isNegationOf(const BigInt &RHS) const {
+    if (IsSmall != RHS.IsSmall)
+      return false; // Unique representation: negation keeps the form.
+    if (IsSmall)
+      return Small == -RHS.Small;
+    return Negative != RHS.Negative && Limbs == RHS.Limbs;
+  }
   friend bool operator<(const BigInt &L, const BigInt &R) {
     return L.compare(R) < 0;
   }
@@ -402,12 +410,14 @@ private:
   }
 
   static void noteFastOp() {
-    if (detail::ArithStats.CountOps.load(std::memory_order_relaxed))
-      detail::ArithStats.FastOps.fetch_add(1, std::memory_order_relaxed);
+    ArithCounters &A = arithCounters();
+    if (A.CountOps.load(std::memory_order_relaxed))
+      A.FastOps.fetch_add(1, std::memory_order_relaxed);
   }
   static void noteSlowOp() {
-    if (detail::ArithStats.CountOps.load(std::memory_order_relaxed))
-      detail::ArithStats.SlowOps.fetch_add(1, std::memory_order_relaxed);
+    ArithCounters &A = arithCounters();
+    if (A.CountOps.load(std::memory_order_relaxed))
+      A.SlowOps.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Spills an int64 magnitude into the limb form (counts a spill).

@@ -14,6 +14,10 @@
 /// Values must be safe to copy out under the lock (the cache hands back
 /// copies, never references, so entries can be evicted at any time).
 ///
+/// Each key is stored once, in its recency-list node; the index maps
+/// string_views of those keys (list nodes never move, so the views stay
+/// valid until the node is erased, and the index entry goes first).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_SUPPORT_CACHE_H
@@ -25,6 +29,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -45,7 +50,7 @@ public:
 
   /// Returns a copy of the cached value and refreshes its recency, or
   /// nullopt on a miss.
-  std::optional<Value> lookup(const std::string &Key) {
+  std::optional<Value> lookup(std::string_view Key) {
     MutexLock Lock(M);
     if (Cap == 0)
       return std::nullopt;
@@ -61,7 +66,7 @@ public:
 
   /// Inserts (or refreshes) Key -> V, evicting least-recently-used entries
   /// beyond capacity.  Returns the number of entries evicted.
-  size_t insert(const std::string &Key, Value V) {
+  size_t insert(std::string Key, Value V) {
     MutexLock Lock(M);
     if (Cap == 0)
       return 0;
@@ -72,12 +77,11 @@ public:
       Order.splice(Order.begin(), Order, It->second);
       return 0;
     }
-    Order.emplace_front(Key, std::move(V));
-    Map.emplace(Key, Order.begin());
+    Order.emplace_front(std::move(Key), std::move(V));
+    Map.emplace(Order.front().first, Order.begin());
     size_t Evicted = 0;
     while (Map.size() > Cap) {
-      Map.erase(Order.back().first);
-      Order.pop_back();
+      evictOldest();
       ++Evicted;
     }
     St.Evictions += Evicted;
@@ -88,8 +92,7 @@ public:
     MutexLock Lock(M);
     Cap = Capacity;
     while (Map.size() > Cap) {
-      Map.erase(Order.back().first);
-      Order.pop_back();
+      evictOldest();
       ++St.Evictions;
     }
   }
@@ -122,13 +125,20 @@ public:
   }
 
 private:
+  using Entry = std::pair<std::string, Value>;
+
+  /// Drops the least recent entry: index first, while its key view is live.
+  void evictOldest() OMEGA_REQUIRES(M) {
+    Map.erase(Order.back().first);
+    Order.pop_back();
+  }
+
   mutable Mutex M;
   size_t Cap OMEGA_GUARDED_BY(M);
-  /// Front = most recent.
-  std::list<std::pair<std::string, Value>> Order OMEGA_GUARDED_BY(M);
-  std::unordered_map<std::string,
-                     typename std::list<std::pair<std::string, Value>>::
-                         iterator>
+  /// Front = most recent.  Owns the keys.
+  std::list<Entry> Order OMEGA_GUARDED_BY(M);
+  /// Views into Order's keys.
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
       Map OMEGA_GUARDED_BY(M);
   CacheStats St OMEGA_GUARDED_BY(M);
 };

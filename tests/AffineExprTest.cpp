@@ -68,6 +68,61 @@ TEST(AffineExprTest, RenameAndToString) {
   EXPECT_EQ((-var("x")).toString(), "-x");
 }
 
+TEST(AffineExprTest, MatchLinearSameOppositeNone) {
+  const AffineExpr E =
+      BigInt(2) * var("i") - BigInt(3) * var("j") + AffineExpr(4);
+  // Constants never take part.
+  EXPECT_EQ(E.matchLinear(BigInt(2) * var("i") - BigInt(3) * var("j") -
+                          AffineExpr(9)),
+            LinearMatch::Same);
+  EXPECT_EQ(E.matchLinear(-E), LinearMatch::Opposite);
+  EXPECT_EQ(E.matchLinear(-E + AffineExpr(100)), LinearMatch::Opposite);
+  EXPECT_EQ((-E).matchLinear(E), LinearMatch::Opposite);
+  // Mixed signs: equal on one term, negated on the other.
+  EXPECT_EQ(E.matchLinear(BigInt(2) * var("i") + BigInt(3) * var("j")),
+            LinearMatch::None);
+  // Scaled parts are not Same (normalization makes them so first).
+  EXPECT_EQ(E.matchLinear(BigInt(2) * E), LinearMatch::None);
+}
+
+TEST(AffineExprTest, MatchLinearDifferentSupports) {
+  const AffineExpr E = var("i") + var("j");
+  EXPECT_EQ(E.matchLinear(var("i")), LinearMatch::None);
+  EXPECT_EQ(E.matchLinear(var("i") + var("j") + var("k")), LinearMatch::None);
+  EXPECT_EQ(E.matchLinear(var("i") + var("k")), LinearMatch::None);
+  EXPECT_EQ(E.matchLinear(-var("i") - var("k")), LinearMatch::None);
+  EXPECT_EQ(E.matchLinear(AffineExpr(0)), LinearMatch::None);
+}
+
+TEST(AffineExprTest, MatchLinearZeroVariableExpressions) {
+  // Both parts are zero: equal and negated at once; reported as Same.
+  EXPECT_EQ(AffineExpr(3).matchLinear(AffineExpr(-7)), LinearMatch::Same);
+  EXPECT_EQ(AffineExpr(0).matchLinear(AffineExpr(0)), LinearMatch::Same);
+  EXPECT_EQ(AffineExpr(3).matchLinear(var("i")), LinearMatch::None);
+}
+
+TEST(AffineExprTest, MatchLinearSpilledCoefficients) {
+  const BigInt Big("4611686018427387904"); // 2^62: limb form.
+  // -(2^128 + 1): five limbs.
+  const BigInt Huge("-340282366920938463463374607431768211457");
+  ASSERT_FALSE(Big.isSmallRep());
+  const AffineExpr E = Big * var("i") + Huge * var("j") + AffineExpr(1);
+  EXPECT_EQ(E.matchLinear(Big * var("i") + Huge * var("j")),
+            LinearMatch::Same);
+  EXPECT_EQ(E.matchLinear(-Big * var("i") - Huge * var("j")),
+            LinearMatch::Opposite);
+  // One limb off in one coefficient.
+  EXPECT_EQ(E.matchLinear((Big + BigInt(1)) * var("i") + Huge * var("j")),
+            LinearMatch::None);
+  // 2^62 - 1 is the largest inline value; it never matches 2^62.
+  const BigInt Edge("4611686018427387903");
+  ASSERT_TRUE(Edge.isSmallRep());
+  EXPECT_EQ((Edge * var("i")).matchLinear(Big * var("i")), LinearMatch::None);
+  EXPECT_EQ((Edge * var("i")).matchLinear(-Big * var("i")), LinearMatch::None);
+  EXPECT_EQ((Edge * var("i")).matchLinear(-Edge * var("i")),
+            LinearMatch::Opposite);
+}
+
 TEST(ConstraintTest, HoldsSemantics) {
   Assignment A{{"x", BigInt(6)}, {"y", BigInt(2)}};
   EXPECT_TRUE(Constraint::eq(var("x") - var("y") * BigInt(3)).holds(A));

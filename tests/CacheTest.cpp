@@ -14,8 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 using namespace omega;
 
@@ -92,6 +96,41 @@ TEST(LruCache, ShrinkEvictsAndClearKeepsCounters) {
   EXPECT_EQ(C.stats().Evictions, 0u);
 }
 
+TEST(LruCache, SingleOwnedKeysSurviveEvictionAndReinsert) {
+  // Short keys live inside their list node (small-string buffer), long
+  // ones on the heap; binary keys carry NUL bytes.  The index holds views
+  // of those keys, so lookups must work from independent copies and across
+  // evictions, refreshes and re-inserts.
+  const std::string Long(200, 'k');
+  const std::string Nul1("a\0b", 3), Nul2("a\0c", 3);
+  LruCache<int> C(3);
+  C.insert(Long + "1", 1);
+  C.insert(Nul1, 2);
+  C.insert(Nul2, 3);
+  EXPECT_EQ(C.lookup(std::string(Nul1)), std::optional<int>(2));
+  EXPECT_EQ(C.lookup(std::string(Nul2)), std::optional<int>(3));
+  EXPECT_FALSE(C.lookup(std::string_view("a", 1)).has_value());
+  // Refresh the long key, then evict Nul1 (now the oldest).
+  EXPECT_EQ(C.insert(Long + "1", 99), 0u);
+  EXPECT_EQ(C.insert("d", 4), 1u);
+  EXPECT_FALSE(C.lookup(Nul1).has_value());
+  EXPECT_EQ(C.lookup(Long + "1"), std::optional<int>(1));
+  // Re-insert the evicted key: a fresh entry owning a fresh key.
+  EXPECT_EQ(C.insert(Nul1, 5), 1u); // Evicts Nul2.
+  EXPECT_EQ(C.lookup(Nul1), std::optional<int>(5));
+  EXPECT_FALSE(C.lookup(Nul2).has_value());
+  EXPECT_EQ(C.size(), 3u);
+  // Churn far past capacity: every surviving key still resolves.
+  for (int I = 0; I < 100; ++I)
+    C.insert(Long + std::to_string(I), I);
+  EXPECT_EQ(C.size(), 3u);
+  for (int I = 97; I < 100; ++I)
+    EXPECT_EQ(C.lookup(Long + std::to_string(I)), std::optional<int>(I));
+  C.setCapacity(1);
+  EXPECT_EQ(C.lookup(Long + "99"), std::optional<int>(99));
+  EXPECT_EQ(C.size(), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Canonical conjunct keys
 //===----------------------------------------------------------------------===//
@@ -153,6 +192,178 @@ TEST(CanonicalKey, DifferentConstantsDiffer) {
   A.add(Constraint::ge(var("x") - AffineExpr(1)));
   B.add(Constraint::ge(var("x") - AffineExpr(2)));
   EXPECT_NE(canonicalConjunct(A).Key, canonicalConjunct(B).Key);
+}
+
+/// Values at the edges of the key's value encoding: BigInt's inline range
+/// ends at 2^62 - 1; 2^62 and beyond take the decimal escape.
+std::vector<BigInt> boundaryValues() {
+  std::vector<BigInt> Out;
+  // Varint byte edges, 2^61, 2^62 - 1, 2^62, 2^62 + 1, 2^63, 2^64 + 1, 2^32
+  // and 2^128 (five limbs).
+  for (const char *Mag :
+       {"1", "2", "63", "64", "127", "128", "2305843009213693952",
+        "4611686018427387903", "4611686018427387904", "4611686018427387905",
+        "9223372036854775808", "18446744073709551617",
+        "4294967296", "340282366920938463463374607431768211456"}) {
+    Out.push_back(BigInt(std::string_view(Mag)));
+    Out.push_back(-BigInt(std::string_view(Mag)));
+  }
+  return Out;
+}
+
+/// Asserts the keys are pairwise distinct.
+void expectDistinct(const std::vector<std::string> &Keys) {
+  for (size_t I = 0; I < Keys.size(); ++I)
+    for (size_t J = I + 1; J < Keys.size(); ++J)
+      EXPECT_NE(Keys[I], Keys[J]) << "keys " << I << " and " << J;
+}
+
+TEST(CanonicalKey, CoefficientsAtEncodingBoundariesDiffer) {
+  // x + v*y + 1 >= 0: unit coefficient on x keeps v unnormalized.
+  std::vector<std::string> Keys;
+  for (const BigInt &V : boundaryValues()) {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + V * var("y") + AffineExpr(1)));
+    Keys.push_back(canonicalConjunct(C).Key);
+  }
+  expectDistinct(Keys);
+}
+
+TEST(CanonicalKey, ConstantsAtEncodingBoundariesDiffer) {
+  std::vector<std::string> Keys;
+  std::vector<BigInt> Values = boundaryValues();
+  Values.push_back(BigInt(0));
+  for (const BigInt &V : Values) {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + AffineExpr(V)));
+    C.add(Constraint::eq(var("y") - AffineExpr(V)));
+    Keys.push_back(canonicalConjunct(C).Key);
+  }
+  expectDistinct(Keys);
+}
+
+TEST(CanonicalKey, SpilledValuesMatchTheirNormalForm) {
+  // The same value reached by arithmetic and by parsing keys identically,
+  // and a spilled clause that normalizes back into the inline range keys
+  // like its small twin.
+  const BigInt P62 = BigInt(std::string_view("4611686018427387904"));
+  const BigInt Built = BigInt(int64_t(1) << 61) * BigInt(2);
+  ASSERT_FALSE(Built.isSmallRep());
+  Conjunct A, B;
+  A.add(Constraint::ge(var("x") - P62 * var("y") + AffineExpr(P62)));
+  B.add(Constraint::ge(var("x") - Built * var("y") + AffineExpr(Built)));
+  EXPECT_EQ(canonicalConjunct(A).Key, canonicalConjunct(B).Key);
+
+  Conjunct Scaled, Small;
+  Scaled.add(Constraint::ge(P62 * var("x") + P62 * BigInt(2) * var("y") -
+                            P62 * BigInt(3)));
+  Small.add(Constraint::ge(var("x") + BigInt(2) * var("y") - AffineExpr(3)));
+  EXPECT_EQ(canonicalConjunct(Scaled).Key, canonicalConjunct(Small).Key);
+}
+
+TEST(CanonicalKey, FieldPositionsAreNotInterchangeable) {
+  // The same numbers in different fields: stride modulus against
+  // coefficient, coefficient against constant, one constraint against two,
+  // and a term against the wildcard list.
+  std::vector<std::string> Keys;
+  auto Add = [&](Conjunct C) { Keys.push_back(canonicalConjunct(C).Key); };
+  {
+    Conjunct C;
+    C.add(Constraint::stride(BigInt(5), var("x") + BigInt(2) * var("y")));
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::stride(BigInt(7), var("x") + BigInt(5) * var("y")));
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + BigInt(5) * var("y") + AffineExpr(2)));
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + BigInt(2) * var("y") + AffineExpr(5)));
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + BigInt(2) * var("y")));
+    C.add(Constraint::ge(AffineExpr(5) - var("x")));
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + BigInt(2) * var("y") + AffineExpr(5)));
+    C.add(Constraint::eq(var("x") + var("'kw"))); // Free 'kw.
+    Add(C);
+  }
+  {
+    Conjunct C;
+    C.add(Constraint::ge(var("x") + BigInt(2) * var("y") + AffineExpr(5)));
+    C.add(Constraint::eq(var("x") + var("'kw")));
+    C.addWildcard("'kw"); // The same shape, existential.
+    Add(C);
+  }
+  expectDistinct(Keys);
+}
+
+TEST(CanonicalKey, EqualKeysIffEqualCanonicalClauses) {
+  // Random small clauses over few variables and values collide often in
+  // canonical form; the key must merge exactly those.  Canonical clauses
+  // are compared through their printed form (names, values, order and
+  // wildcards).
+  std::mt19937_64 Rng(99);
+  auto Pick = [&](int N) { return static_cast<int>(Rng() % unsigned(N)); };
+  const std::vector<BigInt> Edges = boundaryValues();
+  auto Value = [&] {
+    return Pick(8) == 0 ? Edges[Pick(int(Edges.size()))]
+                        : BigInt(int64_t(Pick(7)) - 3);
+  };
+  const char *Names[] = {"x", "y", "z", "'kw"};
+  std::map<std::string, std::string> ByKey, ByClause;
+  for (int I = 0; I < 4000; ++I) {
+    Conjunct C;
+    for (int K = 1 + Pick(3); K > 0; --K) {
+      AffineExpr E(Value());
+      for (int T = Pick(4); T > 0; --T)
+        E += Value() * var(Names[Pick(4)]);
+      switch (Pick(3)) {
+      case 0:
+        C.add(Constraint::eq(std::move(E)));
+        break;
+      case 1:
+        C.add(Constraint::ge(std::move(E)));
+        break;
+      default:
+        C.add(Constraint::stride(BigInt(2 + Pick(3)), std::move(E)));
+        break;
+      }
+    }
+    if (Pick(2))
+      C.addWildcard("'kw");
+    CanonicalConjunct Canon = canonicalConjunct(C);
+    const std::string Shape = Canon.C.toString();
+    auto [KIt, NewKey] = ByKey.emplace(Canon.Key, Shape);
+    auto [CIt, NewClause] = ByClause.emplace(Shape, Canon.Key);
+    EXPECT_EQ(KIt->second, Shape) << "one key for two canonical clauses";
+    EXPECT_EQ(CIt->second, Canon.Key) << "two keys for " << Shape;
+    EXPECT_EQ(NewKey, NewClause);
+  }
+  EXPECT_LT(ByKey.size(), 4000u) << "the generator should repeat clauses";
+}
+
+TEST(CanonicalKey, NoClauseKeysAsUnsat) {
+  // 85 constraints put 'U' (0x55) in the count byte; the kind byte after
+  // it can never be 'N'.
+  Conjunct C;
+  for (int I = 0; I < 85; ++I)
+    C.add(Constraint::ge(var("x") + BigInt(I + 2) * var("y") + AffineExpr(I)));
+  CanonicalConjunct Canon = canonicalConjunct(C);
+  ASSERT_EQ(Canon.C.constraints().size(), 85u);
+  EXPECT_EQ(Canon.Key[0], 'U');
+  EXPECT_NE(Canon.Key.substr(0, 5), "UNSAT");
 }
 
 //===----------------------------------------------------------------------===//

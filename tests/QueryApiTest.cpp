@@ -164,6 +164,48 @@ TEST(QueryApi, StatsAreAPerQueryDelta) {
   EXPECT_EQ(Plain.Stats.FeasibilityTests, 0u);
 }
 
+TEST(QueryApi, ArithCountersArePerQueryAndFold) {
+  // The BigInt tallies resolve through the per-query block like every
+  // other counter: CountArithOps counts the query's own arithmetic, and
+  // the block folds exactly that delta into the process-wide counters.
+  struct Case {
+    const char *Text;
+    VarSet Vars;
+    bool Spills; ///< The answer exceeds BigInt's inline range.
+  };
+  const Case Cases[] = {
+      {"1 <= i <= n && i <= j <= n", VarSet{"i", "j"}, false}, // triangle
+      {"0 <= i <= 4611686018427387904", VarSet{"i"}, true},   // 2^62
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Text);
+    ParseResult R = parseFormula(C.Text);
+    ASSERT_TRUE(R) << R.Error;
+    CountOptions CO;
+    CO.CollectStats = true;
+    CO.CountArithOps = true;
+    clearConjunctCache();
+    resetWildcardState();
+    const PipelineStatsSnapshot Before = snapshotPipelineStats();
+    CountResult CR = countSolutions(*R.Value, C.Vars, CO);
+    const PipelineStatsSnapshot After = snapshotPipelineStats();
+    ASSERT_TRUE(CR.exact());
+
+    EXPECT_GT(CR.Stats.BigIntFastOps, 0u);
+    if (C.Spills) {
+      EXPECT_GT(CR.Stats.BigIntSpills, 0u);
+      EXPECT_GT(CR.Stats.BigIntSlowOps, 0u);
+    }
+    EXPECT_EQ(After.BigIntFastOps - Before.BigIntFastOps,
+              CR.Stats.BigIntFastOps);
+    EXPECT_EQ(After.BigIntSlowOps - Before.BigIntSlowOps,
+              CR.Stats.BigIntSlowOps);
+    EXPECT_EQ(After.BigIntSpills - Before.BigIntSpills, CR.Stats.BigIntSpills);
+    EXPECT_EQ(After.ExprTermsInline - Before.ExprTermsInline,
+              CR.Stats.ExprTermsInline);
+  }
+}
+
 TEST(QueryApi, StatsFoldIntoEnclosingCollector) {
   // A tool- or server-level context with a stats block sees the work of
   // queries nested beneath it — per-query isolation must not hide work

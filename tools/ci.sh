@@ -28,6 +28,7 @@ run_matrix() {
   server_leg "$dir"
   bench_leg "$dir"
   trace_leg "$dir"
+  perfbench_leg "$dir"
 }
 
 # Server leg: omegad end to end in every configuration (so the wire
@@ -349,6 +350,24 @@ PYEOF
     echo "trace: overhead gate noisy, retrying ($attempts left)"
   done
   echo "=== trace: $dir clean"
+}
+
+# Perfbench leg (default configuration only, needs python3): the
+# benchmark's self-test (perfbench/README.md).  It checks determinism and
+# the traced pipeline inside the binary, then runs every BENCHMARK.json
+# workload briefly and checks each answer against the independent
+# reference.  The benchmark builds its own Release binary, here under the
+# leg's build directory.
+perfbench_leg() {
+  dir=$1
+  case $dir in *-default) ;; *) return 0 ;; esac
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "perfbench: python3 unavailable, leg skipped"
+    return 0
+  fi
+  echo "=== perfbench: $dir"
+  (cd "$root" && CARGO_TARGET_DIR="$dir" python3 perfbench/run.py --selftest)
+  echo "=== perfbench: $dir clean"
 }
 
 # Analyze leg: the static-analysis gate (README "Static analysis").
