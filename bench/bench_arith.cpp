@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/BigInt.h"
+#include "support/Json.h"
 #include "support/Rational.h"
 
 #include <atomic>
@@ -183,16 +184,6 @@ SectionResult runSection(const std::string &Name, const Operands &O, int Reps,
 /// Folds a BigInt into a checksum without allocating (small values only).
 uint64_t fold(uint64_t H, const BigInt &V) {
   return H * 1000003ull + static_cast<uint64_t>(V.toInt64());
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
 }
 
 } // namespace

@@ -36,6 +36,7 @@
 #include "presburger/Var.h"
 #include "presburger/VarTable.h"
 #include "support/BigInt.h"
+#include "support/Json.h"
 
 #include <atomic>
 #include <chrono>
@@ -310,16 +311,6 @@ SectionResult runSection(const std::string &Name, uint64_t Ops, int Reps,
   R.FlatNsPerOp = R.FlatBestNs / static_cast<double>(Ops);
   R.MapNsPerOp = R.MapBestNs / static_cast<double>(Ops);
   return R;
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "counting/Summation.h"
 #include "presburger/Parser.h"
 #include "presburger/Var.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
@@ -123,16 +124,6 @@ ConfigResult runConfig(const std::string &Name, int Scale, int Reps,
   }
   R.WallMs = BestMs;
   return R;
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
 }
 
 } // namespace

@@ -203,9 +203,11 @@ int main(int Argc, char **Argv) {
                       "-" + std::to_string(Connections) + ".sock";
     Opts.SoftInFlight = 16; // Measure execution, not admission control.
     Opts.HardInFlight = 64;
-    // Size the shared cache for the whole query set: the full-scale set
-    // overflows the 1<<14 default and LRU thrash erases the warm column.
-    Opts.CacheCapacity = 1 << 17;
+    // Size the caches for the whole query set: the full-scale set
+    // overflows the 1<<14 default and thrash erases the warm column.  A
+    // pass needs tens of thousands of feasibility answers, and each
+    // thread's feasibility table gets a quarter of the capacity.
+    Opts.CacheCapacity = 1 << 19;
     Server S(Opts);
     std::string Err;
     if (!S.start(Err))

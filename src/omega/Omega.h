@@ -138,15 +138,18 @@ void coalesceClauses(std::vector<Conjunct> &Clauses);
 //===----------------------------------------------------------------------===//
 // Conjunct memoization (omega/Cache.cpp)
 //
-// feasible() and projectVars() memoize results in a process-wide LRU cache
-// keyed by the clause's canonical form (canonicalConjunct) — plus the
-// target-variable set and shadow mode for projection, since those change
-// the answer.  Cached values are computed from the canonical form under a
+// feasible() and projectVars() memoize results keyed by the clause's
+// canonical form (canonicalConjunct) — plus the target-variable set and
+// shadow mode for projection, since those change the answer.  Projections
+// live in one process-wide LRU cache; feasibility answers live in a small
+// direct-mapped table owned by the calling thread, with no lock on lookup
+// or insert.  Cached values are computed from the canonical form under a
 // pinned wildcard scope, so they are pure functions of the key and safe to
 // share across threads and shadow modes (DESIGN.md §8).
 //===----------------------------------------------------------------------===//
 
-/// Aggregate statistics over the feasibility and projection caches.
+/// Process-wide statistics over the projection cache and the feasibility
+/// tables of every thread.
 struct ConjunctCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -154,20 +157,29 @@ struct ConjunctCacheStats {
   size_t Entries = 0; ///< Current number of cached results.
 };
 
-/// Configures the process-wide cache *storage*: per-cache entry capacity.
-/// 0 disables memoization entirely (every query recomputes); shrinking
-/// evicts LRU entries immediately.  This sizes the shared store that all
-/// queries use — whether an individual query participates is per-query
-/// (CountOptions::CacheEnabled).  Long-running hosts (omegad) call this
-/// once at startup; queries then share the warm cache across requests.
+/// Configures the cache *storage*: the projection cache holds at most
+/// \p Capacity entries (shrinking evicts LRU entries immediately), and each
+/// thread's feasibility table gets the largest power of two <=
+/// max(Capacity / 4, 1) slots.  0 disables memoization entirely (every query
+/// recomputes).  Bumps the memo epoch: every thread's feasibility table is
+/// emptied and resized on its next access.  Whether an individual query
+/// participates is per-query (CountOptions::CacheEnabled).  Long-running
+/// hosts (omegad) call this once at startup; queries then share the warm
+/// projection cache across requests.
 void configureConjunctCache(size_t Capacity);
 size_t conjunctCacheCapacity();
 
 /// Drops all cached results and resets hit/miss/eviction counters.  Callers
 /// comparing runs (determinism tests, benchmarks) should clear between runs
-/// so each run does the same work.
+/// so each run does the same work.  Other threads' feasibility tables are
+/// emptied lazily, by their owners, but count as empty from here on.
 void clearConjunctCache();
 
+/// Hits, misses and evictions since the last clear, summed over the
+/// projection cache and every thread's feasibility table, including the
+/// tables of threads that have exited (parked for reuse, or freed); Entries
+/// counts the projection cache and the tables still held.  Takes the memo
+/// registry lock, never a per-thread one.
 ConjunctCacheStats conjunctCacheStats();
 
 namespace detail {
@@ -224,7 +236,9 @@ struct CountOptions {
   /// Conjunct memoization (DESIGN.md §8).  Disabling forces every
   /// feasibility/projection query to recompute.
   bool CacheEnabled = true;
-  /// Per-cache entry capacity when the cache is enabled.
+  /// Cache storage capacity when the cache is enabled: projection-cache
+  /// entries, and a quarter of it each thread's feasibility slots.  Grow
+  /// only: a query may raise the process-wide size, never lower it.
   size_t CacheCapacity = size_t(1) << 14;
   /// Effort budget (DESIGN.md §9).  Unlimited runs the exact pipeline
   /// only; any limit arms the degradation path to certified bounds.

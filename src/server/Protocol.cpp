@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace omega;
@@ -292,7 +293,13 @@ IoStatus server::writeFrame(int Fd, const std::vector<uint8_t> &Payload) {
   Buf.insert(Buf.end(), Payload.begin(), Payload.end());
   size_t Sent = 0;
   while (Sent < Buf.size()) {
-    ssize_t N = ::write(Fd, Buf.data() + Sent, Buf.size() - Sent);
+    // send() with MSG_NOSIGNAL: a peer that has already closed yields
+    // EPIPE (an Error) instead of a SIGPIPE that would kill this process.
+    // Plain write() remains for descriptors that are not sockets.
+    ssize_t N = ::send(Fd, Buf.data() + Sent, Buf.size() - Sent,
+                       MSG_NOSIGNAL);
+    if (N < 0 && errno == ENOTSOCK)
+      N = ::write(Fd, Buf.data() + Sent, Buf.size() - Sent);
     if (N < 0) {
       if (errno == EINTR || errno == EAGAIN)
         continue;

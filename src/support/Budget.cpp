@@ -111,9 +111,12 @@ BudgetState::BudgetState(EffortBudget L)
       DeadlineNanos(L.DeadlineMs ? nowNanos() + L.DeadlineMs * 1000000 : 0) {}
 
 void BudgetState::trip(const std::string &Limit, const std::string &Where) {
-  // Relaxed is enough: the flag is a monotone hint observed by polling
-  // checkpoints; the throw below carries the authoritative signal.
-  Cancelled.store(true, std::memory_order_relaxed);
+  // The first tripper publishes its limit before raising the token; a
+  // concurrent second tripper leaves both alone and throws its own limit.
+  if (!Claimed.exchange(true, std::memory_order_relaxed)) {
+    TrippedLimit = Limit;
+    Cancelled.store(true, std::memory_order_release);
+  }
   pipelineStats().BudgetTrips += 1;
   traceAnnotate("budget_trip", Limit + " at " + Where);
   throw BudgetExceeded(Limit, Where);
@@ -134,8 +137,8 @@ void omega::budgetCheckpoint(const char *Where) {
   BudgetState *B = ActiveBudget.get();
   if (!B)
     return;
-  if (B->Cancelled.load(std::memory_order_relaxed))
-    throw BudgetExceeded("cancelled", Where);
+  if (B->Cancelled.load(std::memory_order_acquire))
+    throw BudgetExceeded(B->TrippedLimit, Where);
   if (B->DeadlineNanos && nowNanos() > B->DeadlineNanos)
     B->trip("ms=" + std::to_string(B->Limits.DeadlineMs), Where);
 }

@@ -97,10 +97,18 @@ struct BudgetState {
 
   const EffortBudget Limits;
   /// Set by whichever checkpoint trips first; all other participants
-  /// observe it at their next checkpoint and bail.  A lone atomic flag
-  /// (plus const limits) is this struct's whole shared state, so it needs
-  /// no mutex and no OMEGA_GUARDED_BY annotations (DESIGN.md §13).
+  /// observe it at their next checkpoint and bail, reporting TrippedLimit
+  /// rather than a bare "cancelled", so an observer's exception names the
+  /// limit that tripped.  Two workers that trip different limits at once
+  /// still each throw their own, and which one the fan-out rethrows then
+  /// depends on timing.  The shared state is two atomic flags, const
+  /// limits, and TrippedLimit, which only the Claimed winner writes, once,
+  /// before its release store to Cancelled; readers read it only after an
+  /// acquire load sees Cancelled set.  So it needs no mutex and no
+  /// OMEGA_GUARDED_BY annotations (DESIGN.md §13).
   std::atomic<bool> Cancelled{false};
+  std::atomic<bool> Claimed{false};
+  std::string TrippedLimit;
   /// Steady-clock expiry in nanoseconds since epoch; 0 when no deadline.
   const uint64_t DeadlineNanos;
 

@@ -12,6 +12,7 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
 #include "support/QueryContext.h"
 #include "support/ThreadAnnotations.h"
 
@@ -119,35 +120,6 @@ const char *counterName(unsigned I) {
       "constraints_in", "clauses_in",    "clauses_out",   "splinters",
       "cache_hits",     "cache_misses",  "bigint_spills", "budget_charges"};
   return Names[I];
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Hex[8];
-        std::snprintf(Hex, sizeof(Hex), "\\u%04x", C);
-        Out += Hex;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 } // namespace

@@ -5,20 +5,26 @@
 // semantics-preserving rewrites (permutation, scaling, duplication,
 // trivially-true constraints) collide onto one key — and the memoized
 // omega entry points (omega/Cache.cpp): cached and uncached answers agree,
-// and the stats counters/eviction bookkeeping add up.
+// also with threads racing clears and resizes, and the stats
+// counters/eviction bookkeeping add up across threads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "omega/Omega.h"
+#include "presburger/VarTable.h"
 #include "support/Cache.h"
+#include "support/QueryContext.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 using namespace omega;
@@ -470,6 +476,157 @@ TEST(ConjunctCache, ClearResetsEntriesAndStats) {
   EXPECT_EQ(S.Entries, 0u);
   EXPECT_EQ(S.Hits, 0u);
   EXPECT_EQ(S.Misses, 0u);
+}
+
+TEST(ConjunctCache, FeasibilitySlotsFollowCapacity) {
+  // 8000 distinct keys: a thread's table holds at most a quarter of the
+  // capacity, so 4096 answers at the default and more at 1<<16.
+  CacheGuard Guard;
+  AffineExpr X = var("x");
+  auto Fill = [&] {
+    clearConjunctCache();
+    for (int K = 0; K < 8000; ++K) {
+      Conjunct C;
+      C.add(Constraint::le(AffineExpr(BigInt(0)), X));
+      C.add(Constraint::le(X, AffineExpr(BigInt(K))));
+      (void)feasible(C);
+    }
+    return conjunctCacheStats().Entries;
+  };
+  configureConjunctCache(size_t(1) << 14);
+  EXPECT_LE(Fill(), 4096u);
+  configureConjunctCache(size_t(1) << 16);
+  EXPECT_GT(Fill(), 5000u) << "16384 slots, ~6300 of them filled";
+}
+
+TEST(ConjunctCache, UncachedFeasibilityInternsNoFreshNames) {
+  // Equality elimination mints a wildcard per call; uncached calls must
+  // mint it under a pinned scope, as misses do, or every call grows the
+  // append-only VarTable by one name.
+  CacheGuard Guard;
+  AffineExpr X = var("x"), Y = var("y"), Z = var("z");
+  Conjunct C;
+  C.add(Constraint::eq(BigInt(3) * X + BigInt(5) * Y,
+                       AffineExpr(BigInt(7)) + BigInt(2) * Z));
+  for (const AffineExpr &V : {X, Y}) {
+    C.add(Constraint::le(AffineExpr(BigInt(0)), V));
+    C.add(Constraint::le(V, AffineExpr(BigInt(10))));
+  }
+  C.add(Constraint::le(AffineExpr(BigInt(0)), Z));
+  C.add(Constraint::le(Z, AffineExpr(BigInt(4))));
+
+  configureConjunctCache(0);
+  uint32_t Before = varTableSize();
+  for (int I = 0; I < 1000; ++I)
+    ASSERT_TRUE(feasible(C));
+  EXPECT_LE(varTableSize(), Before + 1) << "capacity 0";
+
+  configureConjunctCache(size_t(1) << 14);
+  QueryContext NoCache;
+  NoCache.CacheEnabled = false;
+  QueryContextScope Scope(NoCache);
+  Before = varTableSize();
+  for (int I = 0; I < 1000; ++I)
+    ASSERT_TRUE(feasible(C));
+  EXPECT_LE(varTableSize(), Before + 1) << "query opted out";
+}
+
+TEST(ConjunctCache, ConcurrentMemosMatchUncachedUnderClearAndResize) {
+  CacheGuard Guard;
+  std::vector<Conjunct> Pool = randomConjuncts(2024, 32);
+  std::vector<bool> Uncached;
+  configureConjunctCache(0);
+  for (const Conjunct &C : Pool)
+    Uncached.push_back(feasible(C));
+  configureConjunctCache(size_t(1) << 14);
+  clearConjunctCache();
+
+  // Each worker walks the pool from its own offset, so the threads'
+  // tables overlap in keys but fill in different orders.
+  std::atomic<int> Mismatches{0};
+  std::atomic<int> Running{4};
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T < 4; ++T)
+    Workers.emplace_back([&, T] {
+      for (size_t Round = 0; Round < 40; ++Round)
+        for (size_t I = 0; I < Pool.size(); ++I) {
+          size_t K = (I * (T + 1) + T * 7) % Pool.size();
+          if (feasible(Pool[K]) != Uncached[K])
+            Mismatches.fetch_add(1);
+        }
+      Running.fetch_sub(1);
+    });
+  std::thread Churn([&] {
+    const size_t Capacities[] = {4, 1, 0, 3, size_t(1) << 14};
+    for (size_t I = 0; Running.load() > 0; ++I) {
+      clearConjunctCache();
+      configureConjunctCache(Capacities[I % 5]);
+      (void)conjunctCacheStats();
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread &W : Workers)
+    W.join();
+  Churn.join();
+  EXPECT_EQ(Mismatches.load(), 0);
+}
+
+TEST(ConjunctCache, HitsOnEveryThreadAreCountedAndMemosOutliveThreads) {
+  CacheGuard Guard;
+  configureConjunctCache(size_t(1) << 14);
+  std::vector<Conjunct> Pool = randomConjuncts(555, 16);
+  auto TwoRounds = [&] {
+    for (int Round = 0; Round < 2; ++Round)
+      for (const Conjunct &C : Pool)
+        (void)feasible(C);
+  };
+
+  // What one thread makes of two rounds from an empty memo.
+  clearConjunctCache();
+  TwoRounds();
+  ConjunctCacheStats One = conjunctCacheStats();
+  ASSERT_GT(One.Hits, 0u);
+
+  // The same on more threads than exited memos are parked: every thread's
+  // counters and entries show while they run; after they exit, every
+  // thread's counters still show, and the parked memos' entries.
+  clearConjunctCache();
+  constexpr unsigned N = 12;
+  std::latch Done(N + 1), Exit(1);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < N; ++T)
+    Threads.emplace_back([&] {
+      TwoRounds();
+      Done.count_down();
+      Exit.wait();
+    });
+  Done.arrive_and_wait();
+  ConjunctCacheStats Live = conjunctCacheStats();
+  EXPECT_EQ(Live.Hits, N * One.Hits);
+  EXPECT_EQ(Live.Misses, N * One.Misses);
+  EXPECT_EQ(Live.Entries, N * One.Entries);
+  Exit.count_down();
+  for (std::thread &T : Threads)
+    T.join();
+  ConjunctCacheStats After = conjunctCacheStats();
+  EXPECT_EQ(After.Hits, N * One.Hits);
+  EXPECT_EQ(After.Misses, N * One.Misses);
+  EXPECT_GT(After.Entries, 0u) << "parked memos keep their answers";
+  EXPECT_LT(After.Entries, Live.Entries) << "only a few memos are parked";
+
+  // A new thread adopts a parked memo: its first round only hits.
+  std::thread([&] {
+    for (const Conjunct &C : Pool)
+      (void)feasible(C);
+  }).join();
+  ConjunctCacheStats Adopted = conjunctCacheStats();
+  EXPECT_EQ(Adopted.Misses, After.Misses);
+  EXPECT_GT(Adopted.Hits, After.Hits);
+
+  clearConjunctCache();
+  ConjunctCacheStats Cleared = conjunctCacheStats();
+  EXPECT_EQ(Cleared.Hits, 0u);
+  EXPECT_EQ(Cleared.Entries, 0u);
 }
 
 } // namespace

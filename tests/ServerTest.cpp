@@ -165,6 +165,16 @@ TEST(Framing, RoundTripAndCleanEof) {
   EXPECT_EQ(readFrame(SP.B, Got, 1000), IoStatus::Eof);
 }
 
+TEST(Framing, WriteToClosedPeerIsErrorNotSignal) {
+  // No SIGPIPE handler is installed here, so a raised SIGPIPE would kill
+  // the test process; the write must fail with an Error status instead.
+  SocketPair SP;
+  ASSERT_GE(SP.A, 0);
+  ::close(SP.B);
+  SP.B = -1;
+  EXPECT_EQ(writeFrame(SP.A, encodeEmpty(MsgType::Ping)), IoStatus::Error);
+}
+
 TEST(Framing, OversizedLengthRejectedBeforeAllocation) {
   SocketPair SP;
   ASSERT_GE(SP.A, 0);

@@ -126,6 +126,15 @@ TEST(BudgetTest, ChargeTripsAndSetsToken) {
   // that would be within their own limit.
   EXPECT_TRUE(State->Cancelled.load());
   EXPECT_THROW(budgetCheckpoint("elsewhere"), BudgetExceeded);
+  // A participant that merely observes the token reports the limit that
+  // set it, not a bare "cancelled".
+  try {
+    budgetCheckpoint("elsewhere");
+    FAIL() << "expected BudgetExceeded";
+  } catch (const BudgetExceeded &E) {
+    EXPECT_EQ(E.Limit, "splinters=2");
+    EXPECT_EQ(E.Where, "elsewhere");
+  }
   EXPECT_THROW(chargeSplinters(1, "elsewhere"), BudgetExceeded);
 }
 

@@ -17,6 +17,7 @@
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
 #include "presburger/Var.h"
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -328,6 +329,18 @@ TEST(Trace, CountersAttributedToPhases) {
   }
   EXPECT_GE(Splinters, 1u) << "Figure 1 projection must splinter";
   EXPECT_GT(ProjectedConstraints, 0u);
+}
+
+TEST(JsonEscape, QuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(jsonEscape("plain name"), "plain name");
+  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(jsonEscape("tab\there"), "tab\\there");
+  EXPECT_EQ(jsonEscape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(jsonEscape(std::string("\x1f")), "\\u001f");
+  EXPECT_EQ(jsonEscape(std::string(1, '\0')), "\\u0000");
+  EXPECT_EQ(jsonEscape("\xc3\xa9"), "\xc3\xa9") << "UTF-8 passes through";
 }
 
 } // namespace

@@ -39,9 +39,11 @@ run_matrix() {
 #   1. the example corpus over 4 concurrent connections with --check
 #      (every response recomputed in-process via countBatch and compared)
 #      and cross-connection answers required bit-identical;
-#   2. a soft-limit-0 daemon sheds every query to the budgeted bounds
+#   2. the same against an uncached daemon (--cache 0), whose sessions
+#      take the uncached feasibility and projection paths;
+#   3. a soft-limit-0 daemon sheds every query to the budgeted bounds
 #      path, which must still answer (exit 0) and count the sheds;
-#   3. both daemons must drain and exit 0 on SIGTERM.
+#   4. every daemon must drain and exit 0 on SIGTERM.
 server_leg() {
   dir=$1
   echo "=== server: $dir"
@@ -49,38 +51,49 @@ server_leg() {
   list="$dir/omegad-ci.batch"
   ls "$root"/examples/formulas/*.presburger > "$list"
 
-  "$dir/tools/omegad" --socket "$sock" --max-inflight 8 &
-  pid=$!
-  i=0
-  while [ ! -S "$sock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
+  start_omegad "$dir" "$sock" --max-inflight 8
   "$dir/tools/omegaclient" --socket "$sock" --ping >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --batch "$list" --check \
     --connections 4 >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --stats \
     | grep -q '"schema": 5' || {
       echo "server: stats reply missing pipeline schema" >&2; exit 1; }
-  kill -TERM "$pid"
-  code=0; wait "$pid" || code=$?
-  if [ "$code" -ne 0 ]; then
-    echo "server: omegad exited $code on SIGTERM (want 0)" >&2
-    exit 1
-  fi
+  drain_omegad omegad
 
-  "$dir/tools/omegad" --socket "$sock" --max-inflight 0 --hard-limit 8 &
-  pid=$!
-  i=0
-  while [ ! -S "$sock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
+  start_omegad "$dir" "$sock" --cache 0
+  "$dir/tools/omegaclient" --socket "$sock" --batch "$list" --check \
+    --connections 4 >/dev/null
+  drain_omegad "uncached omegad"
+
+  start_omegad "$dir" "$sock" --max-inflight 0 --hard-limit 8
   "$dir/tools/omegaclient" --socket "$sock" --batch "$list" >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --stats \
     | grep -q '"shed":[1-9]' || {
       echo "server: soft-limit-0 daemon shed nothing" >&2; exit 1; }
+  drain_omegad "shed-mode omegad"
+  echo "=== server: $dir clean"
+}
+
+# start_omegad DIR SOCKET [omegad flags...]: starts the daemon in the
+# background (its pid in $pid) and waits up to 10 s for its socket.
+start_omegad() {
+  sdir=$1
+  ssock=$2
+  shift 2
+  "$sdir/tools/omegad" --socket "$ssock" "$@" &
+  pid=$!
+  i=0
+  while [ ! -S "$ssock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
+}
+
+# drain_omegad LABEL: SIGTERMs the daemon in $pid; it must exit 0.
+drain_omegad() {
   kill -TERM "$pid"
   code=0; wait "$pid" || code=$?
   if [ "$code" -ne 0 ]; then
-    echo "server: shed-mode omegad exited $code on SIGTERM (want 0)" >&2
+    echo "server: $1 exited $code on SIGTERM (want 0)" >&2
     exit 1
   fi
-  echo "=== server: $dir clean"
 }
 
 # Differential leg: the cross-backend fuzz harness (DESIGN.md §14) run
