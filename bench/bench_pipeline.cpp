@@ -1,17 +1,17 @@
-//===- bench/bench_pipeline.cpp - Cache and fan-out speedups -------------===//
+//===- bench/bench_pipeline.cpp - Conjunct cache speedup -----------------===//
 //
-// Measures the two pipeline accelerators this library layers over the
-// paper's algorithms — the conjunct memoization cache and the parallel
-// disjunct fan-out — on a crossConjoin-heavy counting problem (a
-// conjunction of interval unions, the worst case for DNF blow-up).
+// Measures the pipeline accelerator this library layers over the paper's
+// algorithms — the conjunct memoization cache — on a crossConjoin-heavy
+// counting problem (a conjunction of interval unions, the worst case for
+// DNF blow-up).
 //
-// Four configurations are timed (cache off/on x workers 0/4) plus a warm
-// re-run against a populated cache, every configuration is checked to
-// produce the identical piecewise answer, and one JSON object with the
-// timings, speedups, and pipeline counters is printed to stdout.
+// Three configurations are timed (cache off, cache on, and a warm re-run
+// against the populated cache), every configuration is checked to produce
+// the identical piecewise answer, and one JSON object with the timings,
+// speedups, and pipeline counters is printed to stdout.
 //
 //   bench_pipeline [--quick] [--scale N] [--reps N] [--out FILE]
-//                  [shared flags: --workers/--cache/--budget/--stats/
+//                  [shared flags: --cache/--budget/--backend/--stats/
 //                   --trace/--trace-summary]
 //
 // --quick shrinks the workload so the binary doubles as a smoke test
@@ -26,7 +26,6 @@
 #include "presburger/Var.h"
 #include "support/Json.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include "Options.h"
 
@@ -73,7 +72,6 @@ Formula workload(int Scale) {
 
 struct ConfigResult {
   std::string Name;
-  unsigned Workers = 0;
   size_t CacheCapacity = 0;
   double WallMs = 0;
   std::string Answer;
@@ -85,15 +83,13 @@ struct ConfigResult {
 /// query goes through the options-taking entry point, which installs a
 /// per-query context (support/QueryContext.h) rather than process state.
 ConfigResult runConfig(const std::string &Name, int Scale, int Reps,
-                       unsigned Workers, size_t CacheCapacity, bool Warm,
+                       size_t CacheCapacity, bool Warm,
                        const EffortBudget &Budget, bool CountArithOps) {
   ConfigResult R;
   R.Name = Name;
-  R.Workers = Workers;
   R.CacheCapacity = CacheCapacity;
 
   CountOptions CO;
-  CO.Workers = Workers;
   CO.CacheEnabled = CacheCapacity > 0;
   CO.CacheCapacity = CacheCapacity;
   CO.Budget = Budget;
@@ -132,10 +128,6 @@ int main(int Argc, char **Argv) {
   int Scale = 8, Reps = 3;
   std::string OutPath;
   ToolOptions TO;
-  // The bench's parallel configurations default to 4 workers; a --workers
-  // flag overrides that (0 still benchmarks the parallel configs, just
-  // with a serial pool — useful for overhead measurements).
-  TO.Count.Workers = 4;
   auto Fail = [](const std::string &Msg) {
     std::cerr << "bench_pipeline: error: " << Msg << "\n";
     std::exit(1);
@@ -144,16 +136,16 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (parseSharedOption(Argc, Argv, I, TO, Fail))
       continue;
-    auto NextInt = [&](int Fallback) {
-      return ++I < Argc ? std::atoi(Argv[I]) : Fallback;
+    auto NextInt = [&] {
+      return countFlag<int>(Arg, ++I < Argc ? Argv[I] : "", Fail);
     };
     if (Arg == "--quick") {
       Scale = 4;
       Reps = 1;
     } else if (Arg == "--scale")
-      Scale = NextInt(Scale);
+      Scale = NextInt();
     else if (Arg == "--reps")
-      Reps = NextInt(Reps);
+      Reps = NextInt();
     else if (Arg == "--out")
       OutPath = ++I < Argc ? Argv[I] : "";
     else {
@@ -164,24 +156,19 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  const unsigned Workers = TO.Count.Workers;
   const size_t Cap = TO.Count.CacheEnabled ? TO.Count.CacheCapacity : 0;
   const EffortBudget &Budget = TO.Count.Budget;
   const bool Arith = TO.Count.CountArithOps;
   startToolTrace(TO);
   std::vector<ConfigResult> Results;
-  Results.push_back(runConfig("serial-nocache", Scale, Reps, 0, 0,
+  Results.push_back(runConfig("serial-nocache", Scale, Reps, 0,
                               /*Warm=*/false, Budget, Arith));
-  Results.push_back(runConfig("serial-cache", Scale, Reps, 0, Cap,
-                              /*Warm=*/false, Budget, Arith));
-  Results.push_back(runConfig("parallel-nocache", Scale, Reps, Workers, 0,
-                              /*Warm=*/false, Budget, Arith));
-  Results.push_back(runConfig("parallel-cache", Scale, Reps, Workers, Cap,
+  Results.push_back(runConfig("serial-cache", Scale, Reps, Cap,
                               /*Warm=*/false, Budget, Arith));
   // Warm: same problem against the already-populated cache (the compiler
   // re-querying a dataflow fact it has seen before).
-  Results.push_back(runConfig("parallel-cache-warm", Scale, Reps, Workers,
-                              Cap, /*Warm=*/true, Budget, Arith));
+  Results.push_back(runConfig("serial-cache-warm", Scale, Reps, Cap,
+                              /*Warm=*/true, Budget, Arith));
 
   // Every configuration must produce the identical answer — the
   // determinism contract, enforced here so a perf run can never silently
@@ -202,46 +189,29 @@ int main(int Argc, char **Argv) {
     return -1.0;
   };
   double SpeedupCache = WallOf("serial-nocache") / WallOf("serial-cache");
-  double SpeedupWorkers =
-      WallOf("serial-nocache") / WallOf("parallel-nocache");
-  double SpeedupBoth = WallOf("serial-nocache") / WallOf("parallel-cache");
   double SpeedupWarm =
-      WallOf("serial-nocache") / WallOf("parallel-cache-warm");
-
-  // Worker speedup is bounded by the physical core count.  On a host with
-  // fewer than 4 cores a 4-worker figure is scheduling noise, not signal
-  // (the PR 7 baseline recorded 0.87x from a single-core container as if
-  // it meant something), so the figure is emitted as null with an explicit
-  // skip reason instead.
+      WallOf("serial-nocache") / WallOf("serial-cache-warm");
   unsigned Cores = std::thread::hardware_concurrency();
-  bool EmitWorkerSpeedup = Cores >= 4;
 
-  // Schema 5 (was 4): per-config stats gained the expr_terms_inline /
-  // expr_terms_spilled counters of the flat-term AffineExpr.  (Schema 4
-  // added the coalesce counters, nullable speedup_workers with a skip
-  // reason, and the fixed "baseline" block CI gates ratios against.)
+  // Schema 6 (was 5): the worker configurations, speedup_workers and
+  // speedup_combined are gone with the intra-query fan-out, the warm run
+  // is serial-cache-warm, and per-config stats are stats schema 6.
+  // (Schema 5 added the expr_terms_* counters; schema 4 the coalesce
+  // counters and the fixed "baseline" block CI gates ratios against.)
   std::ostringstream JS;
-  JS << "{\"schema\":5,\"bench\":\"pipeline\",\"scale\":" << Scale
-     << ",\"reps\":" << Reps << ",\"workers\":" << Workers
-     << ",\"hardware_concurrency\":" << Cores << ",\"configs\":[";
+  JS << "{\"schema\":6,\"bench\":\"pipeline\",\"scale\":" << Scale
+     << ",\"reps\":" << Reps << ",\"hardware_concurrency\":" << Cores
+     << ",\"configs\":[";
   for (size_t I = 0; I < Results.size(); ++I) {
     const ConfigResult &R = Results[I];
     if (I)
       JS << ",";
-    JS << "{\"name\":\"" << jsonEscape(R.Name) << "\",\"workers\":"
-       << R.Workers << ",\"cache_capacity\":" << R.CacheCapacity
+    JS << "{\"name\":\"" << jsonEscape(R.Name)
+       << "\",\"cache_capacity\":" << R.CacheCapacity
        << ",\"wall_ms\":" << R.WallMs << ",\"stats\":" << R.Stats.toJson()
        << "}";
   }
-  JS << "],\"speedup_cache\":" << SpeedupCache << ",\"speedup_workers\":";
-  if (EmitWorkerSpeedup)
-    JS << SpeedupWorkers;
-  else
-    JS << "null,\"speedup_workers_skip_reason\":\"hardware_concurrency "
-       << Cores << " < 4: a " << Workers
-       << "-worker run on this host measures time-slicing overhead, not "
-          "scaling\"";
-  JS << ",\"speedup_combined\":" << SpeedupBoth
+  JS << "],\"speedup_cache\":" << SpeedupCache
      << ",\"speedup_warm_cache\":" << SpeedupWarm
      // The seed-algorithm reference for the coalesce rework: BENCH_pipeline
      // serial-nocache at scale 8 as committed by PR 7 (single-core host, so
@@ -262,8 +232,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::cerr << "bench_pipeline: answers identical across all configs; "
-            << "cache x" << SpeedupCache << ", workers x" << SpeedupWorkers
-            << ", combined x" << SpeedupBoth << ", warm x" << SpeedupWarm
+            << "cache x" << SpeedupCache << ", warm x" << SpeedupWarm
             << " (on " << Cores << " hardware core" << (Cores == 1 ? "" : "s")
             << ")\n";
   if (!finishToolTrace(TO, "bench_pipeline"))

@@ -92,7 +92,6 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
   Block.Arith.CountOps.store(Opts.CountArithOps, std::memory_order_relaxed);
 
   QueryContext Ctx;
-  Ctx.Workers = Opts.Workers;
   Ctx.CacheEnabled = Opts.CacheEnabled;
   // A traced query participates in its own session; an untraced query
   // inherits participation (so a tool-level trace keeps seeing nested
@@ -138,9 +137,8 @@ std::vector<CountResult> omega::countBatch(std::span<const CountQuery> Queries) 
   std::vector<CountResult> Out;
   Out.reserve(Queries.size());
   // Sequential by design: each element gets its own context and stats
-  // delta (isolation is the contract QueryApiTest pins), and any
-  // parallelism belongs *inside* a query (CountOptions::Workers) or above
-  // the batch (omegad scheduling whole queries onto the pool).
+  // delta (isolation is the contract QueryApiTest pins), and parallelism
+  // belongs above the batch (omegad runs whole queries on sessions).
   for (const CountQuery &Q : Queries)
     Out.push_back(sumPolynomial(Q.F, Q.Vars, Q.X, Q.Opts));
   return Out;

@@ -9,7 +9,6 @@
 #include "analysis/Validator.h"
 #include "matrix/Matrix.h"
 #include "poly/Faulhaber.h"
-#include "presburger/Parallel.h"
 #include "support/Budget.h"
 #include "support/Error.h"
 #include "support/Stats.h"
@@ -89,7 +88,7 @@ public:
     if (Unbounded)
       return;
     // Per-Summer depth: whether the budget trips depends only on this
-    // clause's own recursion, never on worker schedule.
+    // clause's own recursion.
     ++Depth;
     struct DepthGuard {
       unsigned &D;
@@ -836,10 +835,9 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
   }
 
   // Degrade per §4.6: certified bounds from the two shadows.  Both passes
-  // run under a pinned wildcard scope, which (a) makes every minted name a
-  // function of this pass alone — the aborted exact pass cannot leak
-  // nondeterministic counter state into the bounds — and (b) forces the
-  // fan-outs inline, so the output is bit-identical at every worker count.
+  // run under a pinned wildcard scope, which makes every minted name a
+  // function of this pass alone: how far the aborted exact pass got (with
+  // a deadline, a matter of timing) cannot leak into the bounds.
   // The relaxed budget keeps even the fallback from running away; shadow
   // modes never splinter, so it rarely trips.
   pipelineStats().DegradedQueries += 1;

@@ -52,7 +52,7 @@ constexpr size_t DefaultCapacity = 1 << 14;
 
 /// Lock-free mirror of the capacity, read on every feasible() /
 /// projectVars() call.  Going through LruCache::capacity() would take the
-/// cache mutex even when memoization is disabled, serializing the workers.
+/// cache mutex even when memoization is disabled, serializing the sessions.
 std::atomic<size_t> CapacityKnob{DefaultCapacity};
 
 /// Bumped by configureConjunctCache and clearConjunctCache.  A thread's

@@ -201,9 +201,10 @@ std::vector<Conjunct> projectVarsImpl(const Conjunct &C, const VarSet &Vars,
 // duration, so the entry points are re-entrant — concurrent queries on
 // different threads (omegad sessions, countBatch hosts) run with
 // independent knobs and independent stats, mutating no process state.
-// The only process-wide pieces left are deliberate: the worker pool, the
-// conjunct cache storage (configureConjunctCache above), and the global
-// counters that per-query stats fold into.
+// A query runs start to finish on the thread that issued it.  The only
+// process-wide pieces left are deliberate: the conjunct cache storage
+// (configureConjunctCache above), and the global counters that per-query
+// stats fold into.
 //===----------------------------------------------------------------------===//
 
 /// Which counting algorithm answers a query (counting/Backend.h).  The
@@ -230,9 +231,6 @@ struct CountOptions {
   /// behavior bit for bit; Automaton/Enumerate answer exactly or refuse
   /// with a typed Error; Auto dispatches heuristically and never refuses.
   BackendKind Backend = BackendKind::Pugh;
-  /// Worker threads for disjunct fan-out; 0 and 1 both mean serial.
-  /// Results are bit-identical at every worker count (DESIGN.md §8).
-  unsigned Workers = 0;
   /// Conjunct memoization (DESIGN.md §8).  Disabling forces every
   /// feasibility/projection query to recompute.
   bool CacheEnabled = true;

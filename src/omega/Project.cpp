@@ -141,7 +141,7 @@ public:
       return;
     // Depth and splinter counts are per-Projector-instance, so whether a
     // budget trips is a function of this elimination alone — independent
-    // of worker schedule and of what other queries are in flight.
+    // of what other queries are in flight.
     ++Depth;
     struct DepthGuard {
       unsigned &D;

@@ -10,12 +10,9 @@
 #include "omega/Omega.h"
 
 #include "analysis/Validator.h"
-#include "presburger/Parallel.h"
 #include "support/Budget.h"
 #include "support/Error.h"
-#include "support/QueryContext.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -105,8 +102,7 @@ std::vector<Conjunct> crossConjoin(const std::vector<Conjunct> &A,
   TraceSpan Span("crossConjoin");
   Span.count(TraceCounter::ClausesIn, A.size() * B.size());
   // The pair space is the quantity that blows up in DNF conversion, so it
-  // is what the clause budget meters (a container-size check, identical
-  // across worker schedules).
+  // is what the clause budget meters (a container-size check).
   chargeClauses(A.size() * B.size(), "simplify");
   // Row-major pair index space; each feasible merge lands in its own slot,
   // so compacting the slots reproduces the serial double-loop order.
@@ -348,7 +344,7 @@ bool boxesDisjoint(const SyntacticBox &A, const SyntacticBox &B) {
 /// Builds the symmetric clause-overlap graph (edge iff two clauses share an
 /// integer point).  Pairs whose syntactic boxes are disjoint are rejected
 /// up front; the rest run the feasibility test.  Each row's pair tests run
-/// as one fan-out task; task I writes only row I, and the lower triangle
+/// as one disjunct item; item I writes only row I, and the lower triangle
 /// is mirrored afterwards.
 std::vector<std::vector<bool>>
 overlapGraph(const std::vector<Conjunct> &Clauses) {
@@ -622,8 +618,8 @@ struct CoalesceClauseInfo {
 /// id-pair, so the restart-scan after a merge costs hash lookups instead
 /// of re-running pair tests, and only pairs involving the merged clause
 /// are ever evaluated afresh.  Pair evaluations are pure functions of the
-/// two clauses, so prefiltering, memoization and parallel batch order
-/// cannot change which merge the position-ordered scan applies first.
+/// two clauses, so prefiltering and memoization cannot change which merge
+/// the position-ordered scan applies first.
 class CoalesceWorklist {
 public:
   explicit CoalesceWorklist(std::vector<Conjunct> &Clauses)
@@ -631,11 +627,6 @@ public:
     Ids.reserve(Clauses.size());
     for (const Conjunct &C : Clauses)
       Ids.push_back(newInfo(C));
-    // Results are kept, so fanning out pays iff independent pair tests can
-    // genuinely run concurrently — not on a single-core host, where the
-    // PR 7 prepass ran the same work twice.
-    UseParallel = effectiveParallelWidth() >= 2 && !wildcardScopeActive() &&
-                  !ThreadPool::onWorkerThread();
   }
 
   void run() {
@@ -648,7 +639,6 @@ private:
   std::vector<size_t> Ids; ///< Position -> stable clause id.
   std::vector<CoalesceClauseInfo> Infos;        ///< Indexed by id.
   std::unordered_map<uint64_t, std::optional<Conjunct>> Memo;
-  bool UseParallel = false;
 
   size_t newInfo(const Conjunct &C) {
     CoalesceClauseInfo Info;
@@ -728,68 +718,6 @@ private:
     Memo.emplace(pairKey(I, J), evaluate(I, J));
   }
 
-  /// Parallel mode: walk unknown pairs in scan order starting at
-  /// (I0, J0), decide prefilterable ones inline, and evaluate the next
-  /// chunk of surviving pairs as one pool batch whose results are all
-  /// kept.  Per-clause samples and negations are materialized serially
-  /// before the batch, so workers only read shared clause state and write
-  /// their own slot; each task runs under a private wildcard scope named
-  /// by the id pair (outside the deterministic namespace — nothing a pair
-  /// test mints escapes into its result) with trace spans re-parented to
-  /// the coalesce span.  Chunking bounds the waste when an early pair
-  /// merges: at most one chunk of evaluations beyond what the serial scan
-  /// would have run.
-  void decideChunkFrom(size_t I0, size_t J0) {
-    const size_t ChunkSize =
-        std::max<size_t>(4 * effectiveParallelWidth(), 8);
-    std::vector<std::pair<size_t, size_t>> Batch;
-    for (size_t I = I0; I < Clauses.size() && Batch.size() < ChunkSize; ++I)
-      for (size_t J = I == I0 ? J0 : I + 1;
-           J < Clauses.size() && Batch.size() < ChunkSize; ++J) {
-        if (Memo.count(pairKey(I, J)))
-          continue;
-        if (prefilterRejects(I, J)) {
-          pipelineStats().CoalescePrefiltered += 1;
-          Memo.emplace(pairKey(I, J), std::nullopt);
-          continue;
-        }
-        ensureNegation(I);
-        ensureNegation(J);
-        Batch.emplace_back(I, J);
-      }
-    if (Batch.empty())
-      return;
-    if (Batch.size() == 1) {
-      Memo.emplace(pairKey(Batch[0].first, Batch[0].second),
-                   evaluate(Batch[0].first, Batch[0].second));
-      return;
-    }
-    std::vector<std::optional<Conjunct>> Slots(Batch.size());
-    pipelineStats().ParallelBatches += 1;
-    pipelineStats().ParallelTasks += Batch.size();
-    const uint64_t TraceParent = currentTraceSpan();
-    // Direct pool use (not via forEachDisjunct), so the enqueuing thread's
-    // query environment is re-installed by hand: pair evaluations read the
-    // cache knob and tally counters, which must attribute to this query.
-    const QueryEnvironment Env = captureQueryEnvironment();
-    const unsigned Width = effectiveParallelWidth();
-    ThreadPool::instance().run(Batch.size(), Width, [&](size_t T) {
-      QueryEnvironmentScope EnvScope(Env);
-      TraceTaskScope TraceScope(TraceParent);
-      auto [I, J] = Batch[T];
-      WildcardScope Scope("c" + std::to_string(Ids[I]) + "x" +
-                          std::to_string(Ids[J]));
-      const CoalesceClauseInfo &IA = Infos[Ids[I]], &IB = Infos[Ids[J]];
-      Slots[T] = coalescePairImpl(Clauses[I], Clauses[J], IA.Negation,
-                                  IB.Negation,
-                                  IA.Sample ? &*IA.Sample : nullptr,
-                                  IB.Sample ? &*IB.Sample : nullptr);
-    });
-    for (size_t T = 0; T < Batch.size(); ++T)
-      Memo.emplace(pairKey(Batch[T].first, Batch[T].second),
-                   std::move(Slots[T]));
-  }
-
   /// One step of the seed algorithm: find the first mergeable pair in
   /// position order and apply it.  Returns false when no pair merges.
   bool applyFirstMerge() {
@@ -797,10 +725,7 @@ private:
       for (size_t J = I + 1; J < Clauses.size(); ++J) {
         auto It = Memo.find(pairKey(I, J));
         if (It == Memo.end()) {
-          if (UseParallel)
-            decideChunkFrom(I, J);
-          else
-            decide(I, J);
+          decide(I, J);
           It = Memo.find(pairKey(I, J));
         }
         if (!It->second)

@@ -21,7 +21,7 @@ BigInt omega::binomial(unsigned N, unsigned K) {
 Rational omega::bernoulli(unsigned P) {
   // Memoized B- numbers (B1 = -1/2) via the defining recurrence
   // Σ_{j=0}^{m} C(m+1, j) B_j = 0; converted to B+ on return.  Per-thread:
-  // pool workers and omegad sessions sum concurrently, and a shared
+  // omegad sessions sum concurrently, and a shared
   // table's push_back would reallocate under a racing reader.  The table
   // is degree-bounded and tiny, so per-thread recompute is cheaper than
   // taking a lock on every coefficient.

@@ -17,8 +17,8 @@
 ///
 /// Two orders coexist deliberately:
 ///   * storage (and `terms()` / `forEachTerm`) is id order — fast machine
-///     compares; deterministic per process but NOT across worker
-///     schedules, so it must never leak into output;
+///     compares; interning order, which concurrent queries make
+///     schedule-dependent, so it must never leak into output;
 ///   * every observable order — `toString()`, `operator<` (which feeds
 ///     canonicalConjunct's sort), `leadTermByName` — is name order,
 ///     bit-identical to the std::map<std::string, BigInt> this replaces.

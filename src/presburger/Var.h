@@ -30,6 +30,7 @@
 #include "presburger/VarTable.h"
 #include "support/BigInt.h"
 
+#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <stdexcept>
@@ -365,13 +366,12 @@ inline bool isWildcardName(const std::string &Name) {
 /// RAII: routes freshWildcard() on the calling thread into a private
 /// namespace "$<Prefix>x0, $<Prefix>x1, ...".
 ///
-/// This is the determinism backbone of the parallel pipeline (DESIGN.md
-/// §8): a fan-out gives every independent work item its own scope whose
-/// prefix depends only on the item's position in the fan-out tree, never
-/// on which thread runs it or in what order — so the names an item mints
-/// are identical whether the batch runs serially or on the worker pool.
-/// Scopes nest (the previous scope is restored on destruction) and are
-/// cheap enough to enter per work item.
+/// This keeps wildcard names a function of the query alone (DESIGN.md
+/// §8): forEachDisjunct gives every disjunct work item its own scope whose
+/// prefix depends only on the item's position in the disjunct tree, so
+/// the names an item mints do not depend on how much an earlier sibling
+/// minted.  Scopes nest (the previous scope is restored on destruction)
+/// and are cheap enough to enter per work item.
 class WildcardScope {
 public:
   explicit WildcardScope(const std::string &Prefix);
@@ -383,13 +383,11 @@ private:
   void *State; ///< Opaque ScopeState, chained to the previous scope.
 };
 
-/// True iff a WildcardScope is active on the calling thread (i.e. we are
-/// inside a fan-out work item or a memoized computation).
-bool wildcardScopeActive();
-
-/// Allocates the next deterministic fan-out batch prefix: scope-local when
-/// a scope is active ("<scope>b<k>"), otherwise process-global ("g<k>").
-std::string nextWildcardBatchPrefix();
+/// Runs Fn(0..N-1) in index order on the calling thread, each index under
+/// its own WildcardScope "<batch>t<I>".  The batch prefix is scope-local
+/// when a scope is active ("<scope>b<k>"), otherwise process-global
+/// ("g<k>"), and is allocated once per call.
+void forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn);
 
 /// Resets the process-global wildcard and batch counters to zero so a
 /// repeated run mints identical names.  Test/bench hook only: existing

@@ -52,7 +52,7 @@ uint32_t rawFor(uint32_t Idx, std::string_view Name) {
 struct ScopeState {
   std::string Prefix;
   unsigned Counter = 0; ///< Next "$<Prefix>x<n>" suffix.
-  unsigned Batches = 0; ///< Next nested fan-out batch id.
+  unsigned Batches = 0; ///< Next nested disjunct batch id.
   ScopeState *Prev = nullptr;
 };
 
@@ -145,12 +145,18 @@ WildcardScope::~WildcardScope() {
   delete S;
 }
 
-bool omega::wildcardScopeActive() { return CurScope != nullptr; }
-
-std::string omega::nextWildcardBatchPrefix() {
+void omega::forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn) {
+  if (N == 0)
+    return;
+  std::string Base;
   if (ScopeState *S = CurScope)
-    return S->Prefix + "b" + std::to_string(S->Batches++);
-  return "g" + std::to_string(GlobalBatches.fetch_add(1));
+    Base = S->Prefix + "b" + std::to_string(S->Batches++);
+  else
+    Base = "g" + std::to_string(GlobalBatches.fetch_add(1));
+  for (size_t I = 0; I < N; ++I) {
+    WildcardScope Scope(Base + "t" + std::to_string(I));
+    Fn(I);
+  }
 }
 
 void omega::resetWildcardState() {

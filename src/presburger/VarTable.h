@@ -17,8 +17,8 @@
 /// `internVar()` takes a mutex but only runs at the boundary — the parser,
 /// the string-taking API shims, and wildcard minting.
 ///
-/// Determinism note: id *numeric order* is interning order, which under the
-/// parallel pipeline depends on thread scheduling.  Ids therefore never
+/// Determinism note: id *numeric order* is interning order, which under
+/// concurrent queries (omegad sessions) depends on thread scheduling.  Ids therefore never
 /// leak into observable orderings — anything printed or canonically sorted
 /// orders by name (see AffineExpr::compareTerms / VarSet) — but they are
 /// safe for process-local uses: term storage order, cache keys, hashes.

@@ -97,7 +97,6 @@ std::vector<uint8_t> server::encodeCountRequest(const CountRequestMsg &M) {
   putU32(Out, static_cast<uint32_t>(M.Vars.size()));
   for (const std::string &V : M.Vars)
     putStr(Out, V);
-  putU32(Out, M.Workers);
   putU8(Out, M.Backend);
   putU8(Out, M.CacheEnabled ? 1 : 0);
   putU8(Out, M.CollectStats ? 1 : 0);
@@ -163,8 +162,8 @@ bool server::decodeCountRequest(const std::vector<uint8_t> &Payload,
     M.Vars.push_back(std::move(V));
   }
   uint8_t Cache, Stats;
-  if (!C.getU32(M.Workers) || !C.getU8(M.Backend) || !C.getU8(Cache) ||
-      !C.getU8(Stats) || !C.getStr(M.Budget))
+  if (!C.getU8(M.Backend) || !C.getU8(Cache) || !C.getU8(Stats) ||
+      !C.getStr(M.Budget))
     return false;
   if (!C.atEnd())
     return false;

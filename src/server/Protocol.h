@@ -60,15 +60,17 @@ enum class MsgType : uint8_t {
 struct CountRequestMsg {
   std::string Formula;           ///< Formula text (parser syntax).
   std::vector<std::string> Vars; ///< Counted variables.
-  uint32_t Workers = 0;          ///< Fan-out width for this query.
   uint8_t Backend = 0;           ///< BackendKind, numeric.
   bool CacheEnabled = true;      ///< Participate in the shared cache.
   bool CollectStats = false;     ///< Return a per-query stats delta.
   std::string Budget;            ///< EffortBudget spec ("" = unlimited).
 };
 
-/// A query's reply.  Value/Lower/Upper are the printed piecewise answers
-/// (the textual form the determinism contract is stated over).
+/// A query's reply.  Value/Lower/Upper are the printed piecewise answers.
+/// The determinism contract covers the values they denote, not their
+/// printed form: omegad sessions share the process-wide fresh-name
+/// counters, so a wildcard or splinter name in the text can depend on how
+/// sessions interleave (DESIGN.md §17).
 struct CountResponseMsg {
   QueryOutcome Outcome = QueryOutcome::InternalError;
   std::string Value;     ///< Answer when the outcome is an answer.
@@ -76,7 +78,7 @@ struct CountResponseMsg {
   std::string Upper;
   std::string ErrorText; ///< Diagnostic when the outcome is an error.
   std::string Backend;   ///< Which backend answered.
-  std::string StatsJson; ///< Schema-5 stats JSON when CollectStats.
+  std::string StatsJson; ///< Schema-6 stats JSON when CollectStats.
 };
 
 //===----------------------------------------------------------------------===//

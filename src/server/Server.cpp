@@ -130,7 +130,6 @@ void Server::Impl::spawnSession(int Fd) {
                    Stats,
                    Opts.ShedBudget,
                    Draining,
-                   Opts.MaxWorkersPerQuery,
                    Opts.CacheCapacity,
                    Opts.IdleTimeoutMs,
                    [this] { return statsJson(); }};

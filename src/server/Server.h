@@ -44,8 +44,6 @@ struct ServerOptions {
   /// query degrades to certified dark/real-shadow bounds quickly instead
   /// of occupying a slot indefinitely.
   EffortBudget ShedBudget;
-  /// Cap on the per-query worker fan-out a client may request.
-  unsigned MaxWorkersPerQuery = 8;
   /// Shared conjunct cache capacity, configured once at startup.
   size_t CacheCapacity = size_t(1) << 14;
   /// Per-connection read deadline; an idle client is disconnected after
@@ -76,7 +74,7 @@ public:
   void stop();
 
   /// The stats document served to StatsRequest frames and omegad's
-  /// SIGUSR-style dumps: {"pipeline": <schema-5 snapshot>, "server":
+  /// SIGUSR-style dumps: {"pipeline": <schema-6 snapshot>, "server":
   /// {admission counters, per-client counters}}.
   std::string statsJson();
 

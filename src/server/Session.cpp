@@ -13,7 +13,6 @@
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
 
-#include <algorithm>
 #include <sys/socket.h>
 #include <unistd.h>
 #include <utility>
@@ -72,9 +71,6 @@ CountResponseMsg Session::handleCount(const CountRequestMsg &M) {
 
   CountOptions Opts;
   Opts.Backend = static_cast<BackendKind>(M.Backend);
-  // Client fan-out is a request, not a right: the server caps it so one
-  // connection cannot demand an unbounded number of pool threads.
-  Opts.Workers = std::min(M.Workers, Host.MaxWorkersPerQuery);
   Opts.CacheEnabled = M.CacheEnabled;
   // Match the server's configured capacity so the grow-only rule in
   // sumPolynomial never lets a client resize the shared store.

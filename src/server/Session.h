@@ -49,7 +49,6 @@ struct SessionHost {
   QueryStatsBlock &Stats;          ///< Shared sink for query counters.
   const EffortBudget &ShedBudget;  ///< Clamp applied on Admission::Shed.
   std::atomic<bool> &Draining;     ///< Set once shutdown begins.
-  unsigned MaxWorkersPerQuery;     ///< Cap on client-requested fan-out.
   size_t CacheCapacity;            ///< The shared cache's configured size.
   int IdleTimeoutMs;               ///< Per-connection read deadline.
   std::function<std::string()> StatsJson; ///< Composes the stats reply.

@@ -111,12 +111,9 @@ BudgetState::BudgetState(EffortBudget L)
       DeadlineNanos(L.DeadlineMs ? nowNanos() + L.DeadlineMs * 1000000 : 0) {}
 
 void BudgetState::trip(const std::string &Limit, const std::string &Where) {
-  // The first tripper publishes its limit before raising the token; a
-  // concurrent second tripper leaves both alone and throws its own limit.
-  if (!Claimed.exchange(true, std::memory_order_relaxed)) {
-    TrippedLimit = Limit;
-    Cancelled.store(true, std::memory_order_release);
-  }
+  // Every checkpoint throws TrippedLimit once it is set, so a state trips
+  // at most once.
+  TrippedLimit = Limit;
   pipelineStats().BudgetTrips += 1;
   traceAnnotate("budget_trip", Limit + " at " + Where);
   throw BudgetExceeded(Limit, Where);
@@ -137,7 +134,7 @@ void omega::budgetCheckpoint(const char *Where) {
   BudgetState *B = ActiveBudget.get();
   if (!B)
     return;
-  if (B->Cancelled.load(std::memory_order_acquire))
+  if (B->tripped())
     throw BudgetExceeded(B->TrippedLimit, Where);
   if (B->DeadlineNanos && nowNanos() > B->DeadlineNanos)
     B->trip("ms=" + std::to_string(B->Limits.DeadlineMs), Where);

@@ -11,16 +11,16 @@
 /// splinters per elimination (§2.3.3), DNF clauses (§5.3), recursion
 /// depth (§4) — plus a wall-clock deadline.  Checks happen at the same
 /// pipeline boundaries OMEGA_VALIDATE hooks; tripping any limit throws
-/// BudgetExceeded, sets a shared cancellation token, and the thread-pool
-/// fan-out (presburger/Parallel.cpp) propagates both so workers bail at
-/// their next checkpoint and the batch's partial results are discarded.
+/// BudgetExceeded and marks the query's BudgetState tripped, so any
+/// checkpoint that still runs under it (an enclosing frame that catches
+/// and carries on) throws the same limit again.
 ///
 /// Determinism contract (DESIGN.md §9): the counter limits are charged
-/// against per-instance or container-size quantities, so whether a query
-/// trips — and the partial progress visible afterwards on the calling
-/// thread — is identical across worker counts.  DeadlineMs is the one
-/// inherently nondeterministic knob and is excluded from determinism
-/// guarantees.
+/// against per-instance or container-size quantities, and a query runs on
+/// one thread, so whether a query trips, which limit it reports and the
+/// partial progress visible afterwards are a pure function of the query.
+/// DeadlineMs is the one inherently nondeterministic knob and is excluded
+/// from determinism guarantees.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +29,6 @@
 
 #include "support/Status.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -71,9 +70,7 @@ struct EffortBudget {
   [[nodiscard]] std::string toString() const;
 };
 
-/// Thrown when an EffortBudget limit trips.  Derives from std::exception
-/// so ThreadPool::run's first-exception rethrow carries it back to the
-/// query's calling thread.
+/// Thrown when an EffortBudget limit trips.
 class BudgetExceeded : public std::runtime_error {
 public:
   BudgetExceeded(std::string Limit, std::string Where)
@@ -90,36 +87,28 @@ public:
   }
 };
 
-/// Shared state of one active budget: the limits plus the cancellation
-/// token every worker observes.
+/// State of one active budget: the limits plus the limit that tripped.
+/// A BudgetState belongs to one query and is only ever used by the thread
+/// that runs it, so it needs no atomics, no mutex and no OMEGA_GUARDED_BY
+/// annotations (DESIGN.md §13).
 struct BudgetState {
   explicit BudgetState(EffortBudget Limits);
 
   const EffortBudget Limits;
-  /// Set by whichever checkpoint trips first; all other participants
-  /// observe it at their next checkpoint and bail, reporting TrippedLimit
-  /// rather than a bare "cancelled", so an observer's exception names the
-  /// limit that tripped.  Two workers that trip different limits at once
-  /// still each throw their own, and which one the fan-out rethrows then
-  /// depends on timing.  The shared state is two atomic flags, const
-  /// limits, and TrippedLimit, which only the Claimed winner writes, once,
-  /// before its release store to Cancelled; readers read it only after an
-  /// acquire load sees Cancelled set.  So it needs no mutex and no
-  /// OMEGA_GUARDED_BY annotations (DESIGN.md §13).
-  std::atomic<bool> Cancelled{false};
-  std::atomic<bool> Claimed{false};
+  /// The first limit that tripped, e.g. "splinters=8"; empty until then.
+  /// Once set it never changes: every later checkpoint throws it.
   std::string TrippedLimit;
   /// Steady-clock expiry in nanoseconds since epoch; 0 when no deadline.
   const uint64_t DeadlineNanos;
+
+  [[nodiscard]] bool tripped() const { return !TrippedLimit.empty(); }
 
   /// Records the trip and raises BudgetExceeded.
   [[noreturn]] void trip(const std::string &Limit, const std::string &Where);
 };
 
 /// Installs \p State as this thread's active budget for the scope's
-/// lifetime (restores the previous one on exit).  The fan-out in
-/// presburger/Parallel.cpp re-installs the caller's active budget inside
-/// each worker task, so checkpoints fire on every thread of a query.
+/// lifetime (restores the previous one on exit).
 class BudgetScope {
 public:
   explicit BudgetScope(std::shared_ptr<BudgetState> State);
@@ -135,15 +124,15 @@ private:
 /// This thread's active budget, or null when none is installed.
 const std::shared_ptr<BudgetState> &activeBudget();
 
-/// Cheap cancellation + deadline check; call at pipeline boundaries.
-/// Throws BudgetExceeded when the shared token is set or the deadline has
+/// Cheap trip + deadline check; call at pipeline boundaries.  Throws
+/// BudgetExceeded when the budget has already tripped or the deadline has
 /// passed.  No-op without an active budget.
 void budgetCheckpoint(const char *Where);
 
 /// Charge helpers: each checks one knob against a current magnitude and
 /// trips (throws) when the limit is exceeded.  All are no-ops without an
-/// active budget, and all begin with a budgetCheckpoint so cancellation
-/// propagates even when the local quantity is within limits.
+/// active budget, and all begin with a budgetCheckpoint so a tripped
+/// budget stays tripped even when the local quantity is within limits.
 void chargeSplinters(uint64_t Count, const char *Where);
 void chargeClauses(uint64_t Count, const char *Where);
 void chargeDepth(uint64_t Depth, const char *Where);

@@ -2,8 +2,7 @@
 //
 // All state here is thread-local: the active-context pointer plus the
 // counter redirects declared next to their counter structs (Stats.h,
-// BigInt.h).  No locks; cross-thread propagation happens by value through
-// QueryEnvironment, installed inside each pool task by the fan-out layer.
+// BigInt.h).  No locks: a query never leaves the thread that installed it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,33 +35,6 @@ QueryContextScope::~QueryContextScope() {
   detail::ActiveExprStats = PrevExpr;
 }
 
-QueryEnvironment omega::captureQueryEnvironment() {
-  QueryEnvironment Env;
-  Env.Ctx = ActiveCtx;
-  Env.Pipeline = detail::ActivePipelineStats;
-  Env.Arith = detail::ActiveArithStats;
-  Env.Expr = detail::ActiveExprStats;
-  return Env;
-}
-
-QueryEnvironmentScope::QueryEnvironmentScope(const QueryEnvironment &Env) {
-  Prev.Ctx = ActiveCtx;
-  Prev.Pipeline = detail::ActivePipelineStats;
-  Prev.Arith = detail::ActiveArithStats;
-  Prev.Expr = detail::ActiveExprStats;
-  ActiveCtx = Env.Ctx;
-  detail::ActivePipelineStats = Env.Pipeline;
-  detail::ActiveArithStats = Env.Arith;
-  detail::ActiveExprStats = Env.Expr;
-}
-
-QueryEnvironmentScope::~QueryEnvironmentScope() {
-  ActiveCtx = Prev.Ctx;
-  detail::ActivePipelineStats = Prev.Pipeline;
-  detail::ActiveArithStats = Prev.Arith;
-  detail::ActiveExprStats = Prev.Expr;
-}
-
 void omega::foldQueryStats(const QueryStatsBlock &Block) {
   PipelineCounters &Dst = pipelineStats();
   const PipelineCounters &Src = Block.Pipeline;
@@ -77,8 +49,6 @@ void omega::foldQueryStats(const QueryStatsBlock &Block) {
   Fold(Dst.CacheHits, Src.CacheHits);
   Fold(Dst.CacheMisses, Src.CacheMisses);
   Fold(Dst.CacheEvictions, Src.CacheEvictions);
-  Fold(Dst.ParallelBatches, Src.ParallelBatches);
-  Fold(Dst.ParallelTasks, Src.ParallelTasks);
   Fold(Dst.CoalescePairs, Src.CoalescePairs);
   Fold(Dst.CoalescePrefiltered, Src.CoalescePrefiltered);
   Fold(Dst.CoalesceMerges, Src.CoalesceMerges);

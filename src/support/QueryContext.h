@@ -6,22 +6,20 @@
 ///
 /// \file
 /// The per-query execution context: the re-entrant replacement for the
-/// retired process-global knobs (worker count, cache capacity, arithmetic
-/// op counting).  A query installs a QueryContext for its duration via
+/// retired process-global knobs (cache capacity, arithmetic op counting).
+/// A query installs a QueryContext for its duration via
 /// QueryContextScope; every layer that used to read a process global —
-/// the fan-out gate, the conjunct cache, the counter accessors, the trace
-/// recorder — resolves through the active context instead.  Concurrent
-/// queries on different threads (omegad sessions, countBatch callers on
-/// their own threads) therefore run with independent knobs and
-/// independent stats, sharing only the deliberately process-wide pieces:
-/// the worker pool, the conjunct cache storage, and the global counters
-/// that per-query blocks fold into on completion.
+/// the conjunct cache, the counter accessors, the trace recorder —
+/// resolves through the active context instead.  A query runs start to
+/// finish on the thread that issued it, so concurrent queries on
+/// different threads (omegad sessions, countBatch callers on their own
+/// threads) run with independent knobs and independent stats, sharing
+/// only the deliberately process-wide pieces: the projection cache
+/// storage, the feasibility-memo registry, and the global counters that
+/// per-query blocks fold into on completion.
 ///
 /// Contexts are borrowed, never owned: the installer guarantees the
-/// context (and its stats block) outlives the scope, and the fan-out
-/// layer (presburger/Parallel.cpp) re-installs the enqueuing thread's
-/// environment inside every pool task, so worker-side work attributes to
-/// the query that spawned it.
+/// context (and its stats block) outlives the scope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +34,8 @@ namespace omega {
 /// One query's private counter set.  When a context carries a block, the
 /// thread-local accessors (pipelineStats(), arithCounters(),
 /// exprCounters()) resolve to these members, so everything the query does
-/// — including on pool workers — tallies here and nowhere else until the
-/// query folds the block into its enclosing targets.
+/// tallies here and nowhere else until the query folds the block into its
+/// enclosing targets.
 struct QueryStatsBlock {
   PipelineCounters Pipeline;
   ArithCounters Arith;
@@ -47,13 +45,11 @@ struct QueryStatsBlock {
 /// The knobs one query runs under.  Plain data; CountOptions
 /// (omega/Omega.h) translates into one of these at query entry.
 struct QueryContext {
-  /// Worker threads for disjunct fan-out; 0 and 1 both mean serial.
-  unsigned Workers = 0;
   /// Whether this query participates in conjunct memoization.  The cache
   /// storage itself is process-wide (configureConjunctCache); this gates
   /// only whether the query reads and populates it.
   bool CacheEnabled = true;
-  /// Whether spans opened by this query's threads record into the active
+  /// Whether spans opened by this query record into the active
   /// trace session.  Defaults to true so direct startTracing() users
   /// (tools, tests) keep recording; servers set false on non-traced
   /// queries so a concurrently traced query stays uncontaminated.
@@ -84,35 +80,6 @@ private:
   PipelineCounters *PrevPipeline;
   ArithCounters *PrevArith;
   ExprCounters *PrevExpr;
-};
-
-/// A verbatim snapshot of one thread's context state (the active context
-/// plus the three counter redirects), for re-installation on a pool
-/// worker.  Everything pointed at is borrowed from the capturing thread's
-/// scopes and must outlive the tasks that re-install it — the fan-out
-/// layer guarantees this by joining every batch before the enqueuing
-/// frame unwinds.
-struct QueryEnvironment {
-  const QueryContext *Ctx = nullptr;
-  PipelineCounters *Pipeline = nullptr;
-  ArithCounters *Arith = nullptr;
-  ExprCounters *Expr = nullptr;
-};
-
-QueryEnvironment captureQueryEnvironment();
-
-/// RAII: installs a captured environment verbatim (no inheritance logic —
-/// the capture already resolved it) and restores the previous state.
-class QueryEnvironmentScope {
-public:
-  explicit QueryEnvironmentScope(const QueryEnvironment &Env);
-  ~QueryEnvironmentScope();
-
-  QueryEnvironmentScope(const QueryEnvironmentScope &) = delete;
-  QueryEnvironmentScope &operator=(const QueryEnvironmentScope &) = delete;
-
-private:
-  QueryEnvironment Prev;
 };
 
 /// Adds every counter of \p Block into the targets this thread currently

@@ -16,8 +16,6 @@ void PipelineCounters::reset() {
   CacheHits = 0;
   CacheMisses = 0;
   CacheEvictions = 0;
-  ParallelBatches = 0;
-  ParallelTasks = 0;
   CoalescePairs = 0;
   CoalescePrefiltered = 0;
   CoalesceMerges = 0;
@@ -59,8 +57,6 @@ PipelineStatsSnapshot omega::snapshotStats(const PipelineCounters &C,
   S.CacheHits = C.CacheHits.load();
   S.CacheMisses = C.CacheMisses.load();
   S.CacheEvictions = C.CacheEvictions.load();
-  S.ParallelBatches = C.ParallelBatches.load();
-  S.ParallelTasks = C.ParallelTasks.load();
   S.CoalescePairs = C.CoalescePairs.load();
   S.CoalescePrefiltered = C.CoalescePrefiltered.load();
   S.CoalesceMerges = C.CoalesceMerges.load();
@@ -104,8 +100,6 @@ std::string PipelineStatsSnapshot::toPretty() const {
     OS << " (" << (100 * CacheHits / Lookups) << "% hit)";
   OS << "\n"
      << "  cache evictions:     " << CacheEvictions << "\n"
-     << "  parallel batches:    " << ParallelBatches << " (" << ParallelTasks
-     << " tasks)\n"
      << "  coalesce pairs:      " << CoalescePairs << " ("
      << CoalescePrefiltered << " prefiltered, " << CoalesceMerges
      << " merged)\n"
@@ -133,11 +127,11 @@ std::string PipelineStatsSnapshot::toJson() const {
   // declaration order.  Bump the schema number on any key change so CI and
   // dashboards can detect drift (tools/ci.sh asserts it).
   std::ostringstream OS;
-  // Schema 5 (was 4): adds expr_terms_inline / expr_terms_spilled after
-  // bigint_slow_ops — the flat-term AffineExpr's inline-buffer mutation
-  // and heap-spill tallies.  (Schema 4 added the coalesce_* counters.)
+  // Schema 6 (was 5): drops parallel_batches / parallel_tasks with the
+  // intra-query fan-out.  (Schema 5 added expr_terms_inline /
+  // expr_terms_spilled; schema 4 the coalesce_* counters.)
   OS << "{"
-     << "\"schema\": 5, "
+     << "\"schema\": 6, "
      << "\"feasibility_tests\": " << FeasibilityTests << ", "
      << "\"projection_calls\": " << ProjectionCalls << ", "
      << "\"clauses_simplified\": " << ClausesSimplified << ", "
@@ -145,8 +139,6 @@ std::string PipelineStatsSnapshot::toJson() const {
      << "\"cache_hits\": " << CacheHits << ", "
      << "\"cache_misses\": " << CacheMisses << ", "
      << "\"cache_evictions\": " << CacheEvictions << ", "
-     << "\"parallel_batches\": " << ParallelBatches << ", "
-     << "\"parallel_tasks\": " << ParallelTasks << ", "
      << "\"coalesce_pairs\": " << CoalescePairs << ", "
      << "\"coalesce_prefiltered\": " << CoalescePrefiltered << ", "
      << "\"coalesce_merges\": " << CoalesceMerges << ", "

@@ -6,12 +6,13 @@
 ///
 /// \file
 /// Process-wide observability for the counting pipeline: cache hit/miss
-/// rates, clause and splinter volumes, parallel fan-out counts, and
-/// cumulative wall time per pipeline phase.  Counters are atomics so the
-/// worker pool can bump them without coordination; timers are cumulative
-/// across nested and concurrent invocations (a phase entered from four
-/// workers at once accrues roughly 4x wall time — read them as cost
-/// attribution, not elapsed time).
+/// rates, clause and splinter volumes, and cumulative wall time per
+/// pipeline phase.  Counters are atomics so concurrent queries (omegad
+/// sessions) can fold into the process-wide instance without
+/// coordination; timers are cumulative across nested and concurrent
+/// invocations (a phase entered from four sessions at once accrues
+/// roughly 4x wall time — read them as cost attribution, not elapsed
+/// time).
 ///
 /// `omegacount --stats` / `omegalint --stats` print the human-readable
 /// form; bench_pipeline emits the JSON form for BENCH_*.json trajectories.
@@ -32,7 +33,7 @@ namespace omega {
 ///
 /// Every field is a std::atomic, so this struct carries no mutex and is
 /// exempt from OMEGA_GUARDED_BY annotations (DESIGN.md §13): concurrent
-/// increments from pool workers are safe by construction, and the snapshot
+/// increments from sessions are safe by construction, and the snapshot
 /// reader tolerates tearing *across* counters (it reports a monotonic
 /// point-in-time view, not a consistent cut).
 struct PipelineCounters {
@@ -45,9 +46,6 @@ struct PipelineCounters {
   std::atomic<uint64_t> CacheHits{0};
   std::atomic<uint64_t> CacheMisses{0};
   std::atomic<uint64_t> CacheEvictions{0};
-  // Fan-out.
-  std::atomic<uint64_t> ParallelBatches{0};
-  std::atomic<uint64_t> ParallelTasks{0};
   // Clause coalescing (omega/Simplify.cpp).  Pairs counts full
   // (Omega-backed) pair evaluations; Prefiltered counts candidate pairs
   // the clause index rejected with no feasible()/implies() call at all;
@@ -120,7 +118,6 @@ struct PipelineStatsSnapshot {
   uint64_t FeasibilityTests, ProjectionCalls, ClausesSimplified,
       SplintersGenerated;
   uint64_t CacheHits, CacheMisses, CacheEvictions;
-  uint64_t ParallelBatches, ParallelTasks;
   uint64_t CoalescePairs, CoalescePrefiltered, CoalesceMerges;
   uint64_t BudgetTrips, DegradedQueries;
   uint64_t AutomatonDfaStates, AutomatonProductStates, AutomatonTransitions,

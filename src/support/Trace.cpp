@@ -94,8 +94,7 @@ static_assert(offsetof(OpenSpan, Rec) == 0,
 
 struct ThreadState {
   std::shared_ptr<ThreadRing> Ring;
-  OpenSpan *Open = nullptr;     ///< Innermost open span on this thread.
-  uint64_t TaskParent = 0;      ///< Parent installed by TraceTaskScope.
+  OpenSpan *Open = nullptr; ///< Innermost open span on this thread.
 
   ThreadRing &ring() {
     if (!Ring) {
@@ -159,14 +158,14 @@ TraceSpan::TraceSpan(const char *Name) : Rec(nullptr) {
   // trace session, threads running a *different* query must not record
   // into it.  This constructor is the one place spans are born, so gating
   // here covers the whole subsystem; with no span open, traceCount /
-  // traceAnnotate / currentTraceSpan already no-op through TLS.Open.
+  // traceAnnotate already no-op through TLS.Open.
   if (const QueryContext *Ctx = activeQueryContext(); Ctx && !Ctx->TraceParticipant)
     return;
   // Tracing-on cost is not gated; the open-span stack is intrusive and
   // per-thread, released in ~TraceSpan.  omegatidy: allow(naked-new)
   OpenSpan *OS = new OpenSpan;
   OS->Rec.Id = registry().NextId.fetch_add(1, std::memory_order_relaxed);
-  OS->Rec.Parent = TLS.Open ? TLS.Open->Rec.Id : TLS.TaskParent;
+  OS->Rec.Parent = TLS.Open ? TLS.Open->Rec.Id : 0;
   OS->Rec.Name = Name;
   OS->Rec.Tid = TLS.ring().Tid;
   OS->Rec.StartNs = sinceSessionStartNs();
@@ -209,25 +208,6 @@ void omega::traceAnnotate(const char *Key, std::string Value) {
     OS->Rec.Annotations.emplace_back(Key, std::move(Value));
 }
 
-uint64_t omega::currentTraceSpan() {
-  if (!tracingEnabled())
-    return 0;
-  return TLS.Open ? TLS.Open->Rec.Id : TLS.TaskParent;
-}
-
-TraceTaskScope::TraceTaskScope(uint64_t ParentId)
-    : Prev(0), Installed(tracingEnabled()) {
-  if (!Installed)
-    return;
-  Prev = TLS.TaskParent;
-  TLS.TaskParent = ParentId;
-}
-
-TraceTaskScope::~TraceTaskScope() {
-  if (Installed)
-    TLS.TaskParent = Prev;
-}
-
 const TraceSpanRecord *TraceData::find(uint64_t Id) const {
   for (const TraceSpanRecord &R : Spans)
     if (R.Id == Id)
@@ -262,9 +242,7 @@ std::string TraceData::toChromeJson() const {
 }
 
 std::string TraceData::toSummary() const {
-  // Self time: a span's duration minus the duration of its direct children
-  // (children on other threads subtract from the enqueuing span, so a
-  // fanned-out phase shows scheduling overhead, not its workers' work).
+  // Self time: a span's duration minus the duration of its direct children.
   std::map<uint64_t, uint64_t> ChildNs;
   for (const TraceSpanRecord &R : Spans)
     if (R.Parent)

@@ -12,13 +12,11 @@
 /// cache hits/misses, BigInt spills, budget charges) and optional string
 /// annotations (budget exhaustion, degradation).
 ///
-/// Thread model (DESIGN.md §12): the innermost open span is thread-local;
-/// a span opened on a worker thread parents to the innermost span that was
-/// open on the thread that *enqueued* the batch (the fan-out in
-/// presburger/Parallel.cpp installs a TraceTaskScope around every task),
-/// so the exported tree looks the same at every worker count — only the
-/// thread ids differ.  Completed spans land in lock-free per-thread ring
-/// buffers; exporters snapshot the rings after the query quiesces.
+/// Thread model (DESIGN.md §12): the innermost open span is thread-local,
+/// and a query runs on the thread that issued it, so every span a query
+/// opens parents to the span open around it on that thread.  Completed
+/// spans land in lock-free per-thread ring buffers; exporters snapshot the
+/// rings after the query quiesces.
 ///
 /// Cost model: with tracing disabled (the default) every instrumentation
 /// site is one relaxed atomic load and a predictable branch — the ci.sh
@@ -138,25 +136,6 @@ void traceCount(TraceCounter C, uint64_t N = 1);
 /// Annotates the innermost open span on this thread (same contract as
 /// traceCount).  Used for budget exhaustion and degradation notes.
 void traceAnnotate(const char *Key, std::string Value);
-
-/// Id of the innermost open span on this thread (0 when none / tracing
-/// off).  Fan-out code captures this on the enqueuing thread.
-uint64_t currentTraceSpan();
-
-/// RAII: makes \p ParentId the parent for spans opened on this thread
-/// while no other span is open — installed by the thread-pool fan-out
-/// around each task so worker-side spans parent to the enqueuing span.
-class TraceTaskScope {
-public:
-  explicit TraceTaskScope(uint64_t ParentId);
-  ~TraceTaskScope();
-  TraceTaskScope(const TraceTaskScope &) = delete;
-  TraceTaskScope &operator=(const TraceTaskScope &) = delete;
-
-private:
-  uint64_t Prev;
-  bool Installed;
-};
 
 } // namespace omega
 

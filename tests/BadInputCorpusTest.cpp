@@ -3,15 +3,12 @@
 // Sweeps tests/corpus/bad/*.presburger — truncated tokens, unbalanced
 // quantifiers, overflow-size literals, empty clauses, broken directives —
 // asserting every file yields a recoverable diagnostic (from the file
-// reader or the parser) and never a process abort.  The sweep runs at
-// worker counts 0 and 4 so both the serial and OMEGA_PARALLEL
-// configurations exercise the same corpus.
+// reader or the parser) and never a process abort.
 //
 //===----------------------------------------------------------------------===//
 
 #include "presburger/Parser.h"
 #include "support/Budget.h"
-#include "support/QueryContext.h"
 #include "tools/FormulaFile.h"
 
 #include <gtest/gtest.h>
@@ -58,15 +55,9 @@ TEST(BadInputCorpusTest, CorpusIsNonEmpty) {
 }
 
 TEST(BadInputCorpusTest, EveryFileYieldsRecoverableDiagnostic) {
-  for (unsigned Workers : {0u, 4u}) {
-    QueryContext Ctx;
-    Ctx.Workers = Workers;
-    QueryContextScope Scope(Ctx);
-    for (const std::string &Path : corpusFiles()) {
-      std::string Diag = diagnoseFile(Path);
-      EXPECT_FALSE(Diag.empty())
-          << Path << " produced no diagnostic at " << Workers << " workers";
-    }
+  for (const std::string &Path : corpusFiles()) {
+    std::string Diag = diagnoseFile(Path);
+    EXPECT_FALSE(Diag.empty()) << Path << " produced no diagnostic";
   }
 }
 

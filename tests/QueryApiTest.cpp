@@ -12,6 +12,7 @@
 
 #include "FuzzGen.h"
 
+#include "counting/Backend.h"
 #include "counting/Summation.h"
 #include "omega/Omega.h"
 #include "presburger/Parser.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,16 +42,13 @@ std::string plainCount(const Formula &F, const VarSet &Vars) {
 /// Options path under the given knobs, from reset state.  Runs inside a
 /// deliberately *different* enclosing context to prove the query's own
 /// options win over whatever environment it nests in.
-std::string optionsCount(const Formula &F, const VarSet &Vars,
-                         unsigned Workers, bool Cache) {
+std::string optionsCount(const Formula &F, const VarSet &Vars, bool Cache) {
   clearConjunctCache();
   resetWildcardState();
   QueryContext Enclosing;
-  Enclosing.Workers = Workers ? 0 : 2;
   Enclosing.CacheEnabled = !Cache;
   QueryContextScope Scope(Enclosing);
   CountOptions CO;
-  CO.Workers = Workers;
   CO.CacheEnabled = Cache;
   CountResult CR = countSolutions(F, Vars, CO);
   EXPECT_TRUE(CR.Status == CountStatus::Exact ||
@@ -59,12 +58,6 @@ std::string optionsCount(const Formula &F, const VarSet &Vars,
 }
 
 TEST(QueryApi, DifferentialFuzzCorpus) {
-  struct Config {
-    unsigned Workers;
-    bool Cache;
-  };
-  const Config Configs[] = {{0, true}, {4, true}, {4, false}};
-
   fuzz::Generator Gen(/*Seed=*/23);
   for (int Case = 0; Case < 30; ++Case) {
     fuzz::FuzzCase FC = Gen.next();
@@ -73,10 +66,9 @@ TEST(QueryApi, DifferentialFuzzCorpus) {
     ASSERT_TRUE(R) << R.Error;
     VarSet Vars(FC.Vars.begin(), FC.Vars.end());
     std::string Plain = plainCount(*R.Value, Vars);
-    for (const Config &C : Configs) {
-      std::string New = optionsCount(*R.Value, Vars, C.Workers, C.Cache);
-      EXPECT_EQ(New, Plain)
-          << "workers=" << C.Workers << " cache=" << C.Cache << " diverged";
+    for (bool Cache : {true, false}) {
+      std::string New = optionsCount(*R.Value, Vars, Cache);
+      EXPECT_EQ(New, Plain) << "cache=" << Cache << " diverged";
     }
   }
 }
@@ -203,6 +195,127 @@ TEST(QueryApi, ArithCountersArePerQueryAndFold) {
     EXPECT_EQ(After.BigIntSpills - Before.BigIntSpills, CR.Stats.BigIntSpills);
     EXPECT_EQ(After.ExprTermsInline - Before.ExprTermsInline,
               CR.Stats.ExprTermsInline);
+  }
+}
+
+TEST(QueryApi, EveryCounterMovesAndFolds) {
+  // One row per PipelineStatsSnapshot field, each with a query known to
+  // move it.  The per-query delta must be nonzero, and it must be exactly
+  // what the query folds into the process-wide counters — so a counter no
+  // query can move (or one that bypasses the per-query block) fails here.
+  enum class Prep {
+    Cold,      ///< From an empty cache.
+    Warm,      ///< After one identical run, so lookups hit.
+    TinyCache, ///< Cache capacity 1, so inserts evict.
+  };
+  struct Row {
+    const char *Field;
+    uint64_t PipelineStatsSnapshot::*Member;
+    const char *Text;
+    VarSet Vars;
+    BackendKind Backend = BackendKind::Pugh;
+    const char *Budget = "";
+    Prep Setup = Prep::Cold;
+  };
+  const char *Triangle = "1 <= i <= n && i <= j <= n";
+  // Figure 1: the projection of b splinters.
+  const char *Figure1 = "exists(b: 0 <= 3*b - a <= 7 && 1 <= a - 2*b <= 5)";
+  // Adjacent intervals: makeDisjoint's coalesce merges them.
+  const char *Adjacent = "1 <= i <= 5 || 6 <= i <= 10";
+  // bench_pipeline's interval unions at scale 2: the clause index rejects
+  // some coalesce pairs without an Omega call.
+  const char *Unions = "(1 <= i <= 10 || 13 <= i <= 22) && "
+                       "(1 <= j <= 10 || 13 <= j <= 22) && "
+                       "i + j <= 24 && 2 | i + j";
+  const char *TwoClauses = "1 <= i <= 10 || 20 <= i <= 24";
+  const char *Dense = "0 <= i <= 9 && 0 <= j <= i";
+  using S = PipelineStatsSnapshot;
+  const Row Rows[] = {
+      {"FeasibilityTests", &S::FeasibilityTests, Triangle, {"i", "j"}},
+      {"ProjectionCalls", &S::ProjectionCalls, Figure1, {"a"}},
+      {"ClausesSimplified", &S::ClausesSimplified, Triangle, {"i", "j"}},
+      {"SplintersGenerated", &S::SplintersGenerated, Figure1, {"a"}},
+      {"CacheHits", &S::CacheHits, Triangle, {"i", "j"}, BackendKind::Pugh,
+       "", Prep::Warm},
+      {"CacheMisses", &S::CacheMisses, Triangle, {"i", "j"}},
+      {"CacheEvictions", &S::CacheEvictions, Figure1, {"a"},
+       BackendKind::Pugh, "", Prep::TinyCache},
+      {"CoalescePairs", &S::CoalescePairs, Adjacent, {"i"}},
+      {"CoalescePrefiltered", &S::CoalescePrefiltered, Unions, {"i", "j"}},
+      {"CoalesceMerges", &S::CoalesceMerges, Adjacent, {"i"}},
+      {"BudgetTrips", &S::BudgetTrips, TwoClauses, {"i"}, BackendKind::Pugh,
+       "clauses=1"},
+      {"DegradedQueries", &S::DegradedQueries, TwoClauses, {"i"},
+       BackendKind::Pugh, "clauses=1"},
+      {"AutomatonDfaStates", &S::AutomatonDfaStates, Dense, {"i", "j"},
+       BackendKind::Automaton},
+      {"AutomatonProductStates", &S::AutomatonProductStates, Dense,
+       {"i", "j"}, BackendKind::Automaton},
+      {"AutomatonTransitions", &S::AutomatonTransitions, Dense, {"i", "j"},
+       BackendKind::Automaton},
+      {"EnumeratedPoints", &S::EnumeratedPoints, Dense, {"i", "j"},
+       BackendKind::Enumerate},
+      // Auto picks the automaton, which refuses the wide coefficient.
+      {"BackendFallbacks", &S::BackendFallbacks,
+       "17592186044417*i >= 0 && 0 <= i <= 1", {"i"}, BackendKind::Auto},
+      // 2^70 does not fit BigInt's inline form.
+      {"BigIntSpills", &S::BigIntSpills, "1 <= i <= 1180591620717411303424",
+       {"i"}},
+      {"BigIntFastOps", &S::BigIntFastOps, Triangle, {"i", "j"}},
+      {"BigIntSlowOps", &S::BigIntSlowOps, "1 <= i <= 1180591620717411303424",
+       {"i"}},
+      {"ExprTermsInline", &S::ExprTermsInline, Triangle, {"i", "j"}},
+      // Six terms: more than an expression's four inline slots.
+      {"ExprTermsSpilled", &S::ExprTermsSpilled, "0 <= a <= b + c + d + e + f",
+       {"a"}},
+      {"SimplifyNanos", &S::SimplifyNanos, Triangle, {"i", "j"}},
+      {"DisjointNanos", &S::DisjointNanos, Adjacent, {"i"}},
+      {"CoalesceNanos", &S::CoalesceNanos, Adjacent, {"i"}},
+      {"SummationNanos", &S::SummationNanos, Triangle, {"i", "j"}},
+  };
+  // Every field has exactly one row: a new counter needs a row here.
+  constexpr size_t NumRows = sizeof(Rows) / sizeof(Rows[0]);
+  static_assert(sizeof(PipelineStatsSnapshot) == NumRows * sizeof(uint64_t),
+                "PipelineStatsSnapshot gained or lost a field; update Rows");
+  std::set<std::string> Fields;
+  for (const Row &Rw : Rows)
+    Fields.insert(Rw.Field);
+  EXPECT_EQ(Fields.size(), NumRows);
+
+  for (const Row &Rw : Rows) {
+    SCOPED_TRACE(std::string(Rw.Field) + ": " + Rw.Text);
+    ParseResult R = parseFormula(Rw.Text);
+    ASSERT_TRUE(R) << R.Error;
+    CountOptions CO;
+    CO.Backend = Rw.Backend;
+    CO.CollectStats = true;
+    CO.CountArithOps = true;
+    if (*Rw.Budget) {
+      Result<EffortBudget> B = EffortBudget::parse(Rw.Budget);
+      ASSERT_TRUE(B.ok());
+      CO.Budget = *B;
+    }
+    clearConjunctCache();
+    resetWildcardState();
+    const size_t SavedCapacity = conjunctCacheCapacity();
+    if (Rw.Setup == Prep::TinyCache) {
+      // The query-level capacity only grows the shared cache, so shrink it
+      // directly.
+      configureConjunctCache(1);
+      CO.CacheCapacity = 1;
+    }
+    if (Rw.Setup == Prep::Warm)
+      (void)countSolutions(*R.Value, Rw.Vars, CO);
+    const PipelineStatsSnapshot Before = snapshotPipelineStats();
+    CountResult CR = countSolutions(*R.Value, Rw.Vars, CO);
+    const PipelineStatsSnapshot After = snapshotPipelineStats();
+    if (Rw.Setup == Prep::TinyCache)
+      configureConjunctCache(SavedCapacity);
+    EXPECT_NE(CR.Status, CountStatus::Error) << CR.Err.toString();
+    const uint64_t Delta = CR.Stats.*Rw.Member;
+    EXPECT_GT(Delta, 0u) << Rw.Field << " did not move";
+    EXPECT_EQ(After.*Rw.Member - Before.*Rw.Member, Delta)
+        << Rw.Field << " folded a different amount into the globals";
   }
 }
 

@@ -46,7 +46,6 @@ CountRequestMsg sampleRequest() {
   CountRequestMsg M;
   M.Formula = "1 <= i && i <= 10 && 1 <= j && j <= i";
   M.Vars = {"i", "j"};
-  M.Workers = 4;
   M.Backend = static_cast<uint8_t>(BackendKind::Auto);
   M.CacheEnabled = false;
   M.CollectStats = true;
@@ -61,7 +60,6 @@ TEST(Protocol, CountRequestRoundTrip) {
   ASSERT_TRUE(decodeCountRequest(Bytes, Out));
   EXPECT_EQ(Out.Formula, M.Formula);
   EXPECT_EQ(Out.Vars, M.Vars);
-  EXPECT_EQ(Out.Workers, M.Workers);
   EXPECT_EQ(Out.Backend, M.Backend);
   EXPECT_EQ(Out.CacheEnabled, M.CacheEnabled);
   EXPECT_EQ(Out.CollectStats, M.CollectStats);
@@ -75,7 +73,7 @@ TEST(Protocol, CountResponseRoundTrip) {
   M.Upper = "15";
   M.ErrorText = "clauses=1";
   M.Backend = "pugh";
-  M.StatsJson = "{\"schema\": 5}";
+  M.StatsJson = "{\"schema\": 6}";
   std::vector<uint8_t> Bytes = encodeCountResponse(M);
   CountResponseMsg Out;
   ASSERT_TRUE(decodeCountResponse(Bytes, Out));
@@ -504,8 +502,8 @@ TEST(ServerEndToEnd, PingStatsAndPerClientCounters) {
   M.CollectStats = true;
   CountResponseMsg R = roundTrip(Fd, M);
   EXPECT_EQ(R.Outcome, QueryOutcome::Exact);
-  EXPECT_NE(R.StatsJson.find("\"schema\": 5"), std::string::npos)
-      << "per-query stats delta should be schema-5 JSON: " << R.StatsJson;
+  EXPECT_NE(R.StatsJson.find("\"schema\": 6"), std::string::npos)
+      << "per-query stats delta should be schema-6 JSON: " << R.StatsJson;
 
   ASSERT_EQ(writeFrame(Fd, encodeEmpty(MsgType::StatsRequest)),
             IoStatus::Ok);
@@ -531,12 +529,11 @@ TEST(ServerEndToEnd, GracefulShutdownDrainsInFlight) {
   int Fd = connectTo(Opts.SocketPath);
   ASSERT_GE(Fd, 0);
   CountRequestMsg M;
-  // A multi-clause query with fan-out: enough work that admission is
-  // observable before the answer lands.
+  // A multi-clause query: enough work that admission is observable before
+  // the answer lands.
   M.Formula = "(1 <= i && i <= 50 && 1 <= j && j <= i) || "
               "(60 <= i && i <= 90 && 1 <= j && j <= 40)";
   M.Vars = {"i", "j"};
-  M.Workers = 2;
   ASSERT_EQ(writeFrame(Fd, encodeCountRequest(M)), IoStatus::Ok);
 
   // Wait until the query is admitted (the counter is monotonic, so this

@@ -11,7 +11,6 @@
 #include "counting/Summation.h"
 #include "presburger/Parser.h"
 #include "support/Budget.h"
-#include "support/QueryContext.h"
 #include "support/Status.h"
 
 #include <gtest/gtest.h>
@@ -122,12 +121,12 @@ TEST(BudgetTest, ChargeTripsAndSetsToken) {
     EXPECT_EQ(E.Where, "test");
     EXPECT_EQ(E.toError().Kind, ErrorKind::BudgetExhausted);
   }
-  // The shared token is now set: every later checkpoint bails, even ones
+  // The state is now tripped: every later checkpoint bails, even ones
   // that would be within their own limit.
-  EXPECT_TRUE(State->Cancelled.load());
+  EXPECT_TRUE(State->tripped());
   EXPECT_THROW(budgetCheckpoint("elsewhere"), BudgetExceeded);
-  // A participant that merely observes the token reports the limit that
-  // set it, not a bare "cancelled".
+  // A later checkpoint reports the limit that tripped the state, not a
+  // bare "cancelled".
   try {
     budgetCheckpoint("elsewhere");
     FAIL() << "expected BudgetExceeded";
@@ -234,25 +233,24 @@ TEST(BudgetedCountTest, SymbolicBoundsBracketTruth) {
   }
 }
 
-TEST(BudgetedCountTest, DegradedOutputIdenticalAcrossWorkerCounts) {
+TEST(BudgetedCountTest, DegradedOutputIdenticalAcrossRuns) {
+  // The degraded passes run under a pinned wildcard scope, so a second run
+  // prints the same bounds although the process-wide wildcard counters
+  // have moved on since the first.
   const char *Text = "(1 <= i <= n && 2*i <= 3*j && 1 <= j <= n)"
                      " || (n < i <= 2*n && j = i)"
                      " || (1 <= i <= 4 && 5 <= j <= 9)";
   EffortBudget B;
   B.MaxRecursionDepth = 1;
   std::vector<std::string> Renderings;
-  for (unsigned Workers : {0u, 1u, 4u}) {
-    QueryContext Ctx;
-    Ctx.Workers = Workers;
-    QueryContextScope Scope(Ctx);
+  for (int Run = 0; Run < 2; ++Run) {
     BudgetedCount BC = countSolutionsBudgeted(parseOk(Text), {"i", "j"}, B);
-    EXPECT_EQ(BC.Status, CountStatus::Bounded) << Workers << " workers";
+    EXPECT_EQ(BC.Status, CountStatus::Bounded) << "run " << Run;
     std::ostringstream OS;
     OS << BC.TrippedLimit << " | " << BC.Lower << " | " << BC.Upper;
     Renderings.push_back(OS.str());
   }
   EXPECT_EQ(Renderings[0], Renderings[1]);
-  EXPECT_EQ(Renderings[0], Renderings[2]);
 }
 
 TEST(BudgetedCountTest, ParseLiteralGuardUnderBudget) {

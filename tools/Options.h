@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flags every pipeline tool shares — --workers, --cache/--no-cache,
-/// --budget, --stats, --trace, --trace-summary — parsed once, into a
+/// The flags every pipeline tool shares — --cache/--no-cache, --budget,
+/// --backend, --stats, --trace, --trace-summary — parsed once, into a
 /// CountOptions.  omegacount, omegalint, and bench_pipeline each call
 /// parseSharedOption() from their argv loop so the flags behave (and are
 /// documented) identically everywhere; tool-specific flags stay in the
-/// tools.
+/// tools.  countFlag() is the one parser for numeric flag values, used by
+/// these tools and by omegad and omegaclient.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +23,11 @@
 #include "support/BigInt.h"
 #include "support/QueryContext.h"
 
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -49,12 +52,35 @@ struct ToolOptions {
   bool wantTrace() const { return !TraceFile.empty() || TraceSummary; }
 };
 
+/// The value of numeric flag \p Flag: \p Text as a decimal count that
+/// fits in \p T, i.e. digits only (no sign, no blanks) and at most T's
+/// maximum.  Anything else, including a value that would wrap, calls
+/// \p Fail (which must not return) with a usage message.
+template <typename T>
+T countFlag(const std::string &Flag, const std::string &Text,
+            const std::function<void(const std::string &)> &Fail) {
+  constexpr uint64_t Max =
+      static_cast<uint64_t>(std::numeric_limits<T>::max());
+  bool Ok = !Text.empty();
+  uint64_t N = 0;
+  for (char C : Text) {
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (C < '0' || C > '9' || N > (Max - Digit) / 10) {
+      Ok = false;
+      break;
+    }
+    N = N * 10 + Digit;
+  }
+  if (!Ok)
+    Fail("expected an integer from 0 to " + std::to_string(Max) + " after " +
+         Flag + ": " + Text);
+  return Ok ? static_cast<T>(N) : T(0);
+}
+
 /// The shared block for --help texts (one string so the tools cannot
 /// drift apart).
 inline const char *sharedOptionsHelp() {
-  return "  --workers N      worker threads for disjunct fan-out "
-         "(0 = serial)\n"
-         "  --cache N        conjunct cache capacity (entries); "
+  return "  --cache N        conjunct cache capacity (entries); "
          "--no-cache disables\n"
          "  --budget SPEC    effort budget, e.g. "
          "\"bits=64,splinters=32,clauses=256,depth=24,ms=5000\";\n"
@@ -82,18 +108,6 @@ parseSharedOption(int Argc, char **Argv, int &I, ToolOptions &Opts,
       Fail("missing value after " + Arg);
     return Argv[I];
   };
-  auto NextCount = [&]() -> unsigned long long {
-    std::string V = Next();
-    unsigned long long N = 0;
-    if (V.empty())
-      Fail("expected a nonnegative integer after " + Arg);
-    for (char C : V) {
-      if (C < '0' || C > '9')
-        Fail("expected a nonnegative integer after " + Arg + ": " + V);
-      N = N * 10 + static_cast<unsigned long long>(C - '0');
-    }
-    return N;
-  };
   auto SetBudget = [&](const std::string &Spec) {
     Result<EffortBudget> B = EffortBudget::parse(Spec);
     if (!B)
@@ -107,14 +121,12 @@ parseSharedOption(int Argc, char **Argv, int &I, ToolOptions &Opts,
            " (expected pugh, automaton, enumerate, or auto)");
     Opts.HaveBackend = true;
   };
-  if (Arg == "--workers") {
-    Opts.Count.Workers = static_cast<unsigned>(NextCount());
-  } else if (Arg == "--backend") {
+  if (Arg == "--backend") {
     SetBackend(Next());
   } else if (Arg.rfind("--backend=", 0) == 0) {
     SetBackend(Arg.substr(10));
   } else if (Arg == "--cache") {
-    Opts.Count.CacheCapacity = static_cast<size_t>(NextCount());
+    Opts.Count.CacheCapacity = countFlag<size_t>(Arg, Next(), Fail);
     Opts.Count.CacheEnabled = Opts.Count.CacheCapacity > 0;
   } else if (Arg == "--no-cache") {
     Opts.Count.CacheEnabled = false;
@@ -150,7 +162,6 @@ public:
   explicit ToolQueryScope(const ToolOptions &Opts) {
     Block.Arith.CountOps.store(Opts.Count.CountArithOps,
                                std::memory_order_relaxed);
-    Ctx.Workers = Opts.Count.Workers;
     Ctx.CacheEnabled = Opts.Count.CacheEnabled;
     Ctx.Stats = &Block;
     if (Opts.Count.CacheEnabled &&

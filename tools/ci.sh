@@ -56,7 +56,7 @@ server_leg() {
   "$dir/tools/omegaclient" --socket "$sock" --batch "$list" --check \
     --connections 4 >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --stats \
-    | grep -q '"schema": 5' || {
+    | grep -q '"schema": 6' || {
       echo "server: stats reply missing pipeline schema" >&2; exit 1; }
   drain_omegad omegad
 
@@ -153,10 +153,10 @@ assert arith["checks_passed"], "bench_arith self-checks failed"
 assert arith["small_allocations_total"] == 0, "small path allocated"
 assert arith["small_spills_total"] == 0, "small path spilled"
 assert all(s["checksum_ok"] for s in arith["sections"])
-assert pipe["schema"] == 5, "bench_pipeline JSON schema drifted"
+assert pipe["schema"] == 6, "bench_pipeline JSON schema drifted"
 assert pipe["answers_identical"], "bench_pipeline answers diverged"
-assert len(pipe["configs"]) == 5
-assert all(c["stats"]["schema"] == 5 for c in pipe["configs"])
+assert len(pipe["configs"]) == 3
+assert all(c["stats"]["schema"] == 6 for c in pipe["configs"])
 # Coalesce gates (quick run, deterministic counters): the indexed worklist
 # must beat the committed pre-index baseline by the ISSUE's bars on the
 # full-scale bench; on the quick bench the counters are deterministic, so
@@ -169,15 +169,6 @@ assert pairs > 0, "coalesce saw no candidate pairs"
 assert serial["coalesce_prefiltered"] >= serial["coalesce_pairs"], \
     f"prefilter rejected {serial['coalesce_prefiltered']}/{pairs} pairs " \
     "(want a majority; the clause index is not pruning)"
-# speedup_workers is either a real >=4-core measurement or an explicit
-# null + reason; a number from a narrower host is the bug PR 8 fixed.
-if pipe["hardware_concurrency"] >= 4:
-    assert isinstance(pipe["speedup_workers"], (int, float)), \
-        "speedup_workers missing on a >=4-core host"
-else:
-    assert pipe["speedup_workers"] is None, \
-        "speedup_workers reported from a <4-core host"
-    assert "< 4" in pipe["speedup_workers_skip_reason"]
 # The committed full-scale BENCH_pipeline.json must clear the ISSUE's
 # bars against the pre-index baseline recorded inside it: >= 3x less
 # coalesce wall time, >= 5x fewer feasibility tests, identical answers.
@@ -275,16 +266,14 @@ abort_free_leg() {
   # Tiny budget forced to exhaust over the example formulas: degraded
   # answers are still answers, so the exit code must be 0.
   for ex in "$root"/examples/formulas/*.presburger; do
-    for workers in 0 4; do
-      code=0
-      "$count" --file "$ex" --budget=clauses=1,depth=1 \
-        --workers "$workers" >/dev/null 2>&1 || code=$?
-      if [ "$code" -ne 0 ]; then
-        echo "abort-free: $ex: budget-starved omegacount exited $code" \
-             "(want 0, workers=$workers)" >&2
-        exit 1
-      fi
-    done
+    code=0
+    "$count" --file "$ex" --budget=clauses=1,depth=1 >/dev/null 2>&1 \
+      || code=$?
+    if [ "$code" -ne 0 ]; then
+      echo "abort-free: $ex: budget-starved omegacount exited $code" \
+           "(want 0)" >&2
+      exit 1
+    fi
   done
   echo "=== abort-free: $dir clean"
 }
@@ -309,15 +298,12 @@ trace_leg() {
   mkdir -p "$out"
   for ex in "$root"/examples/formulas/*.presburger; do
     name=$(basename "$ex" .presburger)
-    for workers in 0 1 4; do
-      "$count" --file "$ex" --workers "$workers" --trace-summary \
-        --trace "$out/$name-w$workers.trace.json" \
-        >/dev/null 2>"$out/$name-w$workers.summary.txt"
-    done
+    "$count" --file "$ex" --trace-summary --trace "$out/$name.trace.json" \
+      >/dev/null 2>"$out/$name.summary.txt"
   done
   for phase in simplify toDNF crossConjoin projectVars splinter \
                makeDisjoint coalesce summation snfReparam; do
-    if ! grep -q "$phase" "$out/figure1-w0.summary.txt"; then
+    if ! grep -q "$phase" "$out/figure1.summary.txt"; then
       echo "trace: phase $phase missing from summary" >&2
       exit 1
     fi
@@ -436,18 +422,18 @@ analyze_leg
 run_matrix "$prefix-hardened" \
   -DOMEGA_VALIDATE=ON "-DOMEGA_SANITIZE=address;undefined"
 
-# Parallel: worker pool + validation, under ThreadSanitizer when the
-# toolchain supports it (probe with a trivial compile; TSan is absent from
-# some gcc builds), plain otherwise.  Either way the determinism and fuzz
-# suites run with the parallel code paths compiled in.
+# ThreadSanitizer + validation: omegad sessions, the per-thread
+# feasibility memos and the shared projection cache are the concurrency
+# left (ServerTest and CacheTest drive them from several threads).  Probed
+# with a trivial compile, since TSan is absent from some gcc builds; the
+# leg then runs unsanitized.
 tsan_flags=""
 if printf 'int main(){return 0;}\n' | \
    ${CXX:-c++} -fsanitize=thread -x c++ - -o /dev/null 2>/dev/null; then
   tsan_flags="-DOMEGA_SANITIZE=thread"
 else
-  echo "=== ci: ThreadSanitizer unavailable, running parallel leg unsanitized"
+  echo "=== ci: ThreadSanitizer unavailable, running tsan leg unsanitized"
 fi
-run_matrix "$prefix-parallel" \
-  -DOMEGA_PARALLEL=ON -DOMEGA_VALIDATE=ON $tsan_flags
+run_matrix "$prefix-tsan" -DOMEGA_VALIDATE=ON $tsan_flags
 
 echo "=== ci: all configurations green"

@@ -22,7 +22,6 @@
 //   --connections N     concurrent connections replaying the set
 //   --repeat N          send the query set N times per connection
 //   --check             recompute in-process and compare answers
-//   --workers N         per-query fan-out request
 //   --no-cache          opt this query out of the shared cache
 //   --budget SPEC       effort budget (e.g. "splinters=8,clauses=64")
 //   --backend NAME      pugh | automaton | enumerate | auto
@@ -45,6 +44,7 @@
 #include "support/Status.h"
 
 #include "FormulaFile.h"
+#include "Options.h"
 
 #include <algorithm>
 #include <cstring>
@@ -182,13 +182,11 @@ int main(int Argc, char **Argv) {
         if (!Line.empty() && Line[0] != '#')
           Files.push_back(Line);
     } else if (Arg == "--connections")
-      Connections = std::max(1, std::atoi(Next().c_str()));
+      Connections = std::max(1u, countFlag<unsigned>(Arg, Next(), fail));
     else if (Arg == "--repeat")
-      Repeat = std::max(1, std::atoi(Next().c_str()));
+      Repeat = std::max(1u, countFlag<unsigned>(Arg, Next(), fail));
     else if (Arg == "--check")
       Check = true;
-    else if (Arg == "--workers")
-      Proto.Workers = std::max(0, std::atoi(Next().c_str()));
     else if (Arg == "--no-cache")
       Proto.CacheEnabled = false;
     else if (Arg == "--budget")
@@ -206,7 +204,7 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--ping")
       Ping = true;
     else if (Arg == "--timeout-ms")
-      TimeoutMs = std::atoi(Next().c_str());
+      TimeoutMs = countFlag<int>(Arg, Next(), fail);
     else if (Arg == "--help" || Arg == "-h") {
       std::cout << "usage: omegaclient --socket PATH [options] "
                    "[\"formula\" --vars i,j]\n"
@@ -322,7 +320,6 @@ int main(int Argc, char **Argv) {
         Q.F = *PR.Value;
         Q.Vars = VarSet(M.Vars.begin(), M.Vars.end());
         Q.Opts.Backend = static_cast<BackendKind>(M.Backend);
-        Q.Opts.Workers = M.Workers;
         Q.Opts.CacheEnabled = M.CacheEnabled;
         if (!M.Budget.empty()) {
           Result<EffortBudget> B = EffortBudget::parse(M.Budget);

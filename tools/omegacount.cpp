@@ -18,7 +18,7 @@
 //   --simplify-only    print the disjoint DNF and stop
 //   --sample           print one concrete solution per --at
 //   plus the shared pipeline flags of tools/Options.h:
-//   --workers/--cache/--no-cache/--budget/--stats/--trace/--trace-summary
+//   --cache/--no-cache/--budget/--backend/--stats/--trace/--trace-summary
 //
 // Exit codes derive from the shared QueryOutcome vocabulary
 // (support/Status.h, queryOutcomeExitCode): 0 = answered (exact,
@@ -204,7 +204,7 @@ int runTool(int Argc, char **Argv) {
   }
   if (FormulaText.empty())
     fail("no formula given (try --help)");
-  // Install the tool-level query environment (workers, cache, stats
+  // Install the tool-level query environment (cache, stats
   // collection) for the rest of the run; queries nest beneath it.
   ToolQueryScope QueryScope(TO);
   const EffortBudget &Budget = TO.Count.Budget;

@@ -6,9 +6,9 @@
 //
 // Listens on a local AF_UNIX socket for length-prefixed binary count
 // requests (src/server/Protocol.h), executes them concurrently on
-// per-connection sessions with the shared worker pool and one persistent
-// conjunct cache, and applies budgeted admission control: past the soft
-// in-flight limit queries run under the shed budget (degrading to
+// per-connection sessions (each query on its session's thread) with one
+// persistent conjunct cache, and applies budgeted admission control: past
+// the soft in-flight limit queries run under the shed budget (degrading to
 // certified bounds fast), past the hard limit they are answered
 // Overloaded without running.  See DESIGN.md §17 and README "Running
 // omegad"; drive it with tools/omegaclient.cpp.
@@ -20,7 +20,6 @@
 //   --shed-budget SPEC   budget clamp for shed queries (EffortBudget
 //                        spec, e.g. "splinters=8,clauses=64"; default
 //                        a finite built-in clamp)
-//   --max-workers N      cap on client-requested per-query fan-out
 //   --cache N            shared conjunct cache capacity per kind
 //   --idle-timeout-ms N  disconnect clients idle this long (0 = never)
 //   --stats-on-exit      print the stats JSON document on shutdown
@@ -32,6 +31,8 @@
 
 #include "server/Server.h"
 #include "support/Signal.h"
+
+#include "Options.h"
 
 #include <iostream>
 #include <poll.h>
@@ -62,33 +63,22 @@ int main(int Argc, char **Argv) {
         fail("missing value after " + Arg);
       return Argv[I];
     };
-    auto NextUnsigned = [&]() -> unsigned long {
-      std::string V = Next();
-      try {
-        return std::stoul(V);
-      } catch (const std::exception &) {
-        fail("bad number for " + Arg + ": " + V);
-      }
-      return 0;
-    };
     if (Arg == "--socket")
       Opts.SocketPath = Next();
     else if (Arg == "--max-inflight")
-      Opts.SoftInFlight = static_cast<uint32_t>(NextUnsigned());
+      Opts.SoftInFlight = countFlag<uint32_t>(Arg, Next(), fail);
     else if (Arg == "--hard-limit") {
-      Opts.HardInFlight = static_cast<uint32_t>(NextUnsigned());
+      Opts.HardInFlight = countFlag<uint32_t>(Arg, Next(), fail);
       HardSet = true;
     } else if (Arg == "--shed-budget") {
       Result<EffortBudget> B = EffortBudget::parse(Next());
       if (!B)
         fail(B.error().toString());
       Opts.ShedBudget = *B;
-    } else if (Arg == "--max-workers")
-      Opts.MaxWorkersPerQuery = static_cast<unsigned>(NextUnsigned());
-    else if (Arg == "--cache")
-      Opts.CacheCapacity = NextUnsigned();
+    } else if (Arg == "--cache")
+      Opts.CacheCapacity = countFlag<size_t>(Arg, Next(), fail);
     else if (Arg == "--idle-timeout-ms")
-      Opts.IdleTimeoutMs = static_cast<int>(NextUnsigned());
+      Opts.IdleTimeoutMs = countFlag<int>(Arg, Next(), fail);
     else if (Arg == "--stats-on-exit")
       StatsOnExit = true;
     else if (Arg == "--help" || Arg == "-h") {
@@ -98,7 +88,6 @@ int main(int Argc, char **Argv) {
              "  --hard-limit N       hard in-flight limit (default 4x "
              "soft)\n"
              "  --shed-budget SPEC   budget clamp for shed queries\n"
-             "  --max-workers N      cap on per-query fan-out (default 8)\n"
              "  --cache N            conjunct cache capacity (default "
              "16384)\n"
              "  --idle-timeout-ms N  idle client disconnect (default "
@@ -112,7 +101,9 @@ int main(int Argc, char **Argv) {
   if (Opts.SocketPath.empty())
     fail("--socket is required (try --help)");
   if (!HardSet)
-    Opts.HardInFlight = Opts.SoftInFlight * 4;
+    Opts.HardInFlight = Opts.SoftInFlight > UINT32_MAX / 4
+                            ? UINT32_MAX
+                            : Opts.SoftInFlight * 4;
 
   int SignalFd = installShutdownSignalPipe();
   if (SignalFd < 0)

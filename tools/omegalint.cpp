@@ -22,7 +22,7 @@
 //   --no-enumerate     skip the enumeration cross-check (structure only)
 //   --verbose          print each symbol sample as it is checked
 //   plus the shared pipeline flags of tools/Options.h:
-//   --workers/--cache/--no-cache/--budget/--stats/--trace/--trace-summary
+//   --cache/--no-cache/--budget/--backend/--stats/--trace/--trace-summary
 //
 //===----------------------------------------------------------------------===//
 
@@ -241,7 +241,7 @@ int runTool(int Argc, char **Argv) {
     std::cerr << "omegalint: no inputs (try --help)\n";
     return 1;
   }
-  // Install the tool-level query environment (workers, cache, stats
+  // Install the tool-level query environment (cache, stats
   // collection) for the whole sweep.
   ToolQueryScope QueryScope(TO);
   startToolTrace(TO);
