@@ -78,8 +78,6 @@ private:
 CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
                                  const QuasiPolynomial &X,
                                  const CountOptions &Opts) {
-  const QueryContext *Prev = activeQueryContext();
-
   // The cache storage is shared and grow-only from here: a query may ask
   // for more capacity than the host configured, never less, so one
   // small-cache query cannot evict a server's warm entries.  Opting out of
@@ -91,19 +89,18 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
   const bool WantStats = Opts.CollectStats || Opts.CountArithOps;
   Block.Arith.CountOps.store(Opts.CountArithOps, std::memory_order_relaxed);
 
-  QueryContext Ctx;
-  Ctx.CacheEnabled = Opts.CacheEnabled;
-  // A traced query participates in its own session; an untraced query
-  // inherits participation (so a tool-level trace keeps seeing nested
-  // queries) and defaults to participating when top-level, which keeps
-  // bare startTracing() callers (tests) recording.
-  Ctx.TraceParticipant =
-      Opts.CollectTrace || (Prev ? Prev->TraceParticipant : true);
-  Ctx.Stats = WantStats ? &Block : nullptr;
-
   CountResult Out;
   try {
-    QueryContextScope Scope(Ctx);
+    QueryScope Scope;
+    QueryContext &Ctx = Scope.context();
+    Ctx.CacheEnabled = Opts.CacheEnabled;
+    // A traced query participates in its own session; an untraced query
+    // inherits participation, so a tool-level trace keeps seeing nested
+    // queries and bare startTracing() callers (tests) keep recording.
+    Ctx.TraceParticipant |= Opts.CollectTrace;
+    // Without a block of its own the query tallies into its parent's.
+    if (WantStats)
+      Ctx.Stats = &Block;
     ScopedTraceSession Trace(Opts.CollectTrace);
     // Backend selection and the per-backend algorithms live in
     // counting/Backend.cpp; the default (Pugh) reproduces the pre-PR-7
@@ -120,7 +117,7 @@ CountResult omega::sumPolynomial(const Formula &F, const VarSet &Vars,
   if (WantStats) {
     Out.Stats = snapshotQueryStats(Block);
     // Fold the block into whatever this thread resolves to now that the
-    // scope popped — an enclosing query's block, a tool-level collector,
+    // scope popped — an enclosing query's block, a server's shared block,
     // or the process-wide counters — so aggregate observability (--stats
     // at tool exit, omegad's stats endpoint) still sees all work.
     foldQueryStats(Block);

@@ -11,6 +11,7 @@
 #include "poly/Faulhaber.h"
 #include "support/Budget.h"
 #include "support/Error.h"
+#include "support/QueryContext.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -605,7 +606,6 @@ private:
 PiecewiseValue omega::sumOverConjunct(const Conjunct &C, const VarSet &Vars,
                                       const QuasiPolynomial &X,
                                       SumOptions Opts) {
-  PhaseTimer Timer(pipelineStats().SummationNanos);
   TraceSpan Span("summation");
   Span.count(TraceCounter::ConstraintsIn, C.constraints().size());
   Summer S(Opts);
@@ -740,7 +740,6 @@ PiecewiseValue omega::sumOverFormula(const Formula &F, const VarSet &Vars,
   // clause order reproduces the serial single-Summer accumulation.  (The
   // serial code stopped at the first unbounded clause; computing the rest
   // only costs time, never changes the answer.)
-  PhaseTimer Timer(pipelineStats().SummationNanos);
   TraceSpan Span("summation");
   Span.count(TraceCounter::ClausesIn, Clauses.size());
   std::vector<PiecewiseValue> Parts(Clauses.size());
@@ -825,7 +824,7 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
   TraceSpan Span("countBudgeted");
   // Exact attempt under the budget.  On a clean run this is the only pass.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Budget));
+    QueryScope Scope(Budget);
     PiecewiseValue V = sumOverFormula(F, Vars, X, Opts);
     Out.Status = V.isUnbounded() ? CountStatus::Unbounded : CountStatus::Exact;
     Out.Value = std::move(V);
@@ -834,8 +833,8 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
     Out.TrippedLimit = E.Limit;
   }
 
-  // Degrade per §4.6: certified bounds from the two shadows.  Both passes
-  // run under a pinned wildcard scope, which makes every minted name a
+  // Degrade per §4.6: certified bounds from the two shadows.  Each pass
+  // runs in a naming frame of its own, which makes every minted name a
   // function of this pass alone: how far the aborted exact pass got (with
   // a deadline, a matter of timing) cannot leak into the bounds.
   // The relaxed budget keeps even the fallback from running away; shadow
@@ -844,13 +843,13 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
   Span.annotate("degraded", Out.TrippedLimit);
   Out.Status = CountStatus::Bounded;
   EffortBudget Relaxed = Budget.relaxed(8);
+  const unsigned PinDepth = activeQueryContext().pinDepth();
 
   // Upper bound: real shadow over-approximates the set; UpperBound
   // strategy over-approximates each clause's sum; overlapping clauses
   // only add, so the concatenated pieces still bound from above.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Relaxed));
-    WildcardScope Pin("degU");
+    QueryScope Pass(Relaxed, NamingFrame("degU", PinDepth));
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Real;
     std::vector<Conjunct> Clauses = simplify(F, SO);
@@ -867,8 +866,7 @@ BudgetedCount omega::sumOverFormulaBudgeted(const Formula &F,
   // the under-approximating LowerBound strategy bounds from below.  An
   // unbounded dark shadow proves the true answer itself is unbounded.
   try {
-    BudgetScope Scope(std::make_shared<BudgetState>(Relaxed));
-    WildcardScope Pin("degL");
+    QueryScope Pass(Relaxed, NamingFrame("degL", PinDepth));
     SimplifyOptions SO;
     SO.Mode = ShadowMode::Dark;
     std::vector<Conjunct> Clauses = simplify(F, SO);

@@ -106,7 +106,7 @@ struct BudgetedCount {
 /// budget limit trips, retries with §4.6-style approximations — real
 /// shadow / BoundStrategy::UpperBound for the upper bound, dark shadow /
 /// BoundStrategy::LowerBound for the lower — under a relaxed budget and a
-/// pinned wildcard scope, so the degraded output is a function of the
+/// naming frame of its own, so the degraded output is a function of the
 /// query alone (the wall-clock deadline knob excepted).  For summands
 /// other than 1 the bounds assume X is non-negative over the counted
 /// region (the paper's setting).

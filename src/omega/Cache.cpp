@@ -202,6 +202,7 @@ struct ThreadMemo {
 };
 
 FeasMemo &feasMemo() {
+  // omegatidy: allow(thread-local) per-thread memo storage (DESIGN.md §8)
   thread_local ThreadMemo T;
   FeasMemo &M = *T.Memo;
   const uint64_t E = Epoch.load(std::memory_order_acquire);
@@ -210,31 +211,23 @@ FeasMemo &feasMemo() {
   return M;
 }
 
-/// Nesting depth of in-flight memoized computations on this thread.  A
-/// miss at depth d computes under scope "k<d>"; nested misses (e.g. the
-/// feasibility probes a Disjoint projection makes) get "k<d+1>".  The
-/// depth a computation sees depends only on the key's own recursion
-/// structure, so pinned names are reproducible per key.
-thread_local unsigned PinDepth = 0;
-
-class PinnedScope {
-public:
-  PinnedScope() : Scope("k" + std::to_string(PinDepth++)) {}
-  ~PinnedScope() { --PinDepth; }
-
-private:
-  WildcardScope Scope;
-};
+/// The naming frame a memoized computation runs in.  A miss at pin depth
+/// d computes under "k<d>"; nested misses (e.g. the feasibility probes a
+/// Disjoint projection makes) get "k<d+1>".  The depth a computation sees
+/// depends only on the key's own recursion structure, so pinned names are
+/// reproducible per key.
+NamingFrame pinnedFrame() {
+  const unsigned Depth = activeQueryContext().pinDepth();
+  return NamingFrame("k" + std::to_string(Depth), Depth + 1);
+}
 
 /// Whether the *current query* participates in memoization: the storage
-/// must have capacity, and the active QueryContext (if any) must not have
-/// opted out.  Queries outside any context (direct API probes in tests)
-/// default to participating.
+/// must have capacity, and the active context must not have opted out.
+/// Work outside any query (direct API probes in tests) runs under the root
+/// context, which participates.
 bool cacheEnabled() {
-  if (CapacityKnob.load(std::memory_order_relaxed) == 0)
-    return false;
-  const QueryContext *Ctx = activeQueryContext();
-  return !Ctx || Ctx->CacheEnabled;
+  return CapacityKnob.load(std::memory_order_relaxed) != 0 &&
+         activeQueryContext().CacheEnabled;
 }
 
 /// The canonical key (prefix-free) followed by the projected ids and the
@@ -261,7 +254,7 @@ bool omega::feasible(const Conjunct &C) {
   if (!cacheEnabled()) {
     // Pinned like a miss, so the wildcards the Projector mints reuse the
     // per-depth names instead of growing the append-only VarTable.
-    PinnedScope Pin;
+    QueryScope Pin(pinnedFrame());
     return detail::feasibleImpl(C);
   }
 
@@ -279,7 +272,7 @@ bool omega::feasible(const Conjunct &C) {
   traceCount(TraceCounter::CacheMisses);
   bool Result;
   {
-    PinnedScope Pin;
+    QueryScope Pin(pinnedFrame());
     Result = detail::feasibleImpl(Canon.C);
   }
   pipelineStats().CacheEvictions += Memo.insert(Hash, Canon.Key, Result);
@@ -298,7 +291,7 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   // because a bool cannot carry ordering.
   CanonicalConjunct Canon = canonicalConjunct(C);
   if (!cacheEnabled()) {
-    PinnedScope Pin;
+    QueryScope Pin(pinnedFrame());
     std::vector<Conjunct> Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
     Span.count(TraceCounter::ClausesOut, Result.size());
     return Result;
@@ -315,7 +308,7 @@ std::vector<Conjunct> omega::projectVars(const Conjunct &C, const VarSet &Vars,
   Span.count(TraceCounter::CacheMisses);
   std::vector<Conjunct> Result;
   {
-    PinnedScope Pin;
+    QueryScope Pin(pinnedFrame());
     Result = detail::projectVarsImpl(Canon.C, Vars, Mode);
   }
   pipelineStats().CacheEvictions += projCache().insert(std::move(Key), Result);

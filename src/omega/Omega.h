@@ -144,7 +144,7 @@ void coalesceClauses(std::vector<Conjunct> &Clauses);
 // live in one process-wide LRU cache; feasibility answers live in a small
 // direct-mapped table owned by the calling thread, with no lock on lookup
 // or insert.  Cached values are computed from the canonical form under a
-// pinned wildcard scope, so they are pure functions of the key and safe to
+// pinned naming frame, so they are pure functions of the key and safe to
 // share across threads and shadow modes (DESIGN.md §8).
 //===----------------------------------------------------------------------===//
 

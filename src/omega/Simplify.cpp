@@ -428,21 +428,17 @@ std::vector<Conjunct> omega::simplify(const Formula &F, SimplifyOptions Opts) {
   TraceSpan Span("simplify");
   std::vector<Conjunct> D;
   {
-    PhaseTimer Timer(pipelineStats().SimplifyNanos);
-    {
-      TraceSpan DnfSpan("toDNF");
-      D = toDNF(F, Opts.Mode);
-      DnfSpan.count(TraceCounter::ClausesOut, D.size());
-    }
-    pruneInfeasible(D);
-    pipelineStats().ClausesSimplified += D.size();
-    forEachDisjunct(D.size(), [&](size_t I) {
-      removeRedundant(D[I], /*Aggressive=*/true);
-    });
-    removeSubsumed(D);
+    TraceSpan DnfSpan("toDNF");
+    D = toDNF(F, Opts.Mode);
+    DnfSpan.count(TraceCounter::ClausesOut, D.size());
   }
+  pruneInfeasible(D);
+  pipelineStats().ClausesSimplified += D.size();
+  forEachDisjunct(D.size(), [&](size_t I) {
+    removeRedundant(D[I], /*Aggressive=*/true);
+  });
+  removeSubsumed(D);
   if (Opts.Disjoint) {
-    PhaseTimer Timer(pipelineStats().DisjointNanos);
     TraceSpan DisjointSpan("makeDisjoint");
     DisjointSpan.count(TraceCounter::ClausesIn, D.size());
     D = makeDisjointImpl(std::move(D));
@@ -755,7 +751,6 @@ std::optional<Conjunct> omega::coalescePair(const Conjunct &A,
 }
 
 void omega::coalesceClauses(std::vector<Conjunct> &Clauses) {
-  PhaseTimer Timer(pipelineStats().CoalesceNanos);
   TraceSpan Span("coalesce");
   Span.count(TraceCounter::ClausesIn, Clauses.size());
   if (Clauses.size() >= 2)
@@ -890,7 +885,6 @@ std::vector<Conjunct> makeDisjointImpl(std::vector<Conjunct> Clauses) {
 } // namespace
 
 std::vector<Conjunct> omega::makeDisjoint(std::vector<Conjunct> Clauses) {
-  PhaseTimer Timer(pipelineStats().DisjointNanos);
   TraceSpan Span("makeDisjoint");
   Span.count(TraceCounter::ClausesIn, Clauses.size());
   std::vector<Conjunct> Result = makeDisjointImpl(std::move(Clauses));

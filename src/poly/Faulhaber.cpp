@@ -25,6 +25,7 @@ Rational omega::bernoulli(unsigned P) {
   // table's push_back would reallocate under a racing reader.  The table
   // is degree-bounded and tiny, so per-thread recompute is cheaper than
   // taking a lock on every coefficient.
+  // omegatidy: allow(thread-local) per-thread memo of query-independent data
   thread_local std::vector<Rational> Cache{Rational(1)};
   while (Cache.size() <= P) {
     unsigned M = static_cast<unsigned>(Cache.size());

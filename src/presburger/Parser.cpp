@@ -567,7 +567,7 @@ ParseResult omega::parseFormula(std::string_view Text) {
   // Under an active EffortBudget, oversized literals are rejected here as
   // ordinary parse diagnostics (not BudgetExceeded throws) so malformed
   // input never reaches the solver at all.
-  if (const std::shared_ptr<BudgetState> &B = activeBudget()) {
+  if (const BudgetState *B = activeBudget()) {
     if (uint64_t MaxBits = B->Limits.MaxCoefficientBits) {
       for (const Token &T : Toks) {
         BigInt V;

@@ -14,6 +14,10 @@
 ///   * wildcards (existentially quantified clause-local auxiliaries, named
 ///     "$<n>" so they can never collide with user variables; the role is
 ///     also carried in the id's high bit).
+/// Wildcard names are minted in the active query context's naming frame
+/// (support/QueryContext.h): "$<prefix>x<n>" inside a frame, and from the
+/// process-global counter "$<n>" outside any.  forEachDisjunct below and
+/// the conjunct cache's memo pins install the frames.
 ///
 /// VarSet and Assignment are flat id vectors: a VarSet is sorted by *name*
 /// (so iteration order — the observable order everywhere clauses print or
@@ -352,9 +356,9 @@ private:
   std::vector<Entry> Entries; ///< Sorted by id (merge-join order).
 };
 
-/// Returns a process-unique wildcard name "$<n>", or a scope-local name
-/// "$<prefix>x<n>" while a WildcardScope is active on the calling thread.
-/// Shim over freshWildcardId() (VarTable.h) for name-level callers.
+/// Returns a process-unique wildcard name "$<n>", or the frame-local name
+/// "$<prefix>x<n>" inside a naming frame (support/QueryContext.h).  Shim
+/// over freshWildcardId() (VarTable.h) for name-level callers.
 std::string freshWildcard();
 
 /// Returns true for names produced by freshWildcard().  Prefer
@@ -363,36 +367,19 @@ inline bool isWildcardName(const std::string &Name) {
   return !Name.empty() && Name[0] == '$';
 }
 
-/// RAII: routes freshWildcard() on the calling thread into a private
-/// namespace "$<Prefix>x0, $<Prefix>x1, ...".
-///
-/// This keeps wildcard names a function of the query alone (DESIGN.md
-/// §8): forEachDisjunct gives every disjunct work item its own scope whose
-/// prefix depends only on the item's position in the disjunct tree, so
-/// the names an item mints do not depend on how much an earlier sibling
-/// minted.  Scopes nest (the previous scope is restored on destruction)
-/// and are cheap enough to enter per work item.
-class WildcardScope {
-public:
-  explicit WildcardScope(const std::string &Prefix);
-  ~WildcardScope();
-  WildcardScope(const WildcardScope &) = delete;
-  WildcardScope &operator=(const WildcardScope &) = delete;
-
-private:
-  void *State; ///< Opaque ScopeState, chained to the previous scope.
-};
-
 /// Runs Fn(0..N-1) in index order on the calling thread, each index under
-/// its own WildcardScope "<batch>t<I>".  The batch prefix is scope-local
-/// when a scope is active ("<scope>b<k>"), otherwise process-global
-/// ("g<k>"), and is allocated once per call.
+/// its own naming frame "<batch>t<I>".  This keeps wildcard names a
+/// function of the query alone (DESIGN.md §8): a frame's prefix depends
+/// only on the item's position in the disjunct tree, so the names an item
+/// mints do not depend on how much an earlier sibling minted.  The batch
+/// prefix is frame-local inside a frame ("<frame>b<k>"), otherwise
+/// process-global ("g<k>"), and is allocated once per call.
 void forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn);
 
 /// Resets the process-global wildcard and batch counters to zero so a
 /// repeated run mints identical names.  Test/bench hook only: existing
 /// clauses keep their names, so mixing objects from before and after a
-/// reset can capture wildcards.  Must be called with no scope active.
+/// reset can capture wildcards.  Must be called outside any naming frame.
 void resetWildcardState();
 
 } // namespace omega

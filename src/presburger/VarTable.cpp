@@ -4,6 +4,7 @@
 
 #include "presburger/Var.h"
 #include "support/Error.h"
+#include "support/QueryContext.h"
 #include "support/ThreadAnnotations.h"
 
 #include <atomic>
@@ -48,15 +49,7 @@ uint32_t rawFor(uint32_t Idx, std::string_view Name) {
   return Idx | (Wildcard ? VarId::WildcardBit : 0);
 }
 
-/// Per-thread scope for deterministic wildcard naming (see WildcardScope).
-struct ScopeState {
-  std::string Prefix;
-  unsigned Counter = 0; ///< Next "$<Prefix>x<n>" suffix.
-  unsigned Batches = 0; ///< Next nested disjunct batch id.
-  ScopeState *Prev = nullptr;
-};
-
-thread_local ScopeState *CurScope = nullptr;
+/// The names minted outside any naming frame (support/QueryContext.h).
 std::atomic<unsigned> GlobalCounter{0};
 std::atomic<unsigned> GlobalBatches{0};
 
@@ -109,13 +102,13 @@ int omega::compareVarNames(VarId L, VarId R) {
 }
 
 VarId omega::freshWildcardId() {
-  if (ScopeState *S = CurScope) {
+  if (NamingFrame *F = activeQueryContext().Naming) {
     std::string Name;
-    Name.reserve(S->Prefix.size() + 8);
+    Name.reserve(F->Prefix.size() + 8);
     Name += '$';
-    Name += S->Prefix;
+    Name += F->Prefix;
     Name += 'x';
-    Name += std::to_string(S->Counter++);
+    Name += std::to_string(F->Counter++);
     return internVar(Name);
   }
   return internVar("$" + std::to_string(GlobalCounter.fetch_add(1)));
@@ -127,40 +120,25 @@ uint32_t omega::varTableSize() {
 
 std::string omega::freshWildcard() { return varName(freshWildcardId()); }
 
-WildcardScope::WildcardScope(const std::string &Prefix) {
-  // ScopeState is an incomplete type at the header's State pointer, and
-  // the scope stack must pop in strict LIFO order even through exceptions
-  // (the destructor owns it).  omegatidy: allow(naked-new)
-  auto *S = new ScopeState;
-  S->Prefix = Prefix;
-  S->Prev = CurScope;
-  CurScope = S;
-  State = S;
-}
-
-WildcardScope::~WildcardScope() {
-  auto *S = static_cast<ScopeState *>(State);
-  check(CurScope == S, "wildcard scopes must nest strictly");
-  CurScope = S->Prev;
-  delete S;
-}
-
 void omega::forEachDisjunct(size_t N, const std::function<void(size_t)> &Fn) {
   if (N == 0)
     return;
+  const QueryContext &Ctx = activeQueryContext();
   std::string Base;
-  if (ScopeState *S = CurScope)
-    Base = S->Prefix + "b" + std::to_string(S->Batches++);
+  if (NamingFrame *F = Ctx.Naming)
+    Base = F->Prefix + "b" + std::to_string(F->Batches++);
   else
     Base = "g" + std::to_string(GlobalBatches.fetch_add(1));
   for (size_t I = 0; I < N; ++I) {
-    WildcardScope Scope(Base + "t" + std::to_string(I));
+    QueryScope Item(NamingFrame(Base + "t" + std::to_string(I),
+                                Ctx.pinDepth()));
     Fn(I);
   }
 }
 
 void omega::resetWildcardState() {
-  check(!CurScope, "cannot reset wildcard state inside a scope");
+  check(!activeQueryContext().Naming,
+        "cannot reset wildcard state inside a naming frame");
   GlobalCounter.store(0);
   GlobalBatches.store(0);
 }

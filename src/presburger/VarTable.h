@@ -78,9 +78,10 @@ const std::string &varName(VarId Id);
 /// varName(L).compare(varName(R)) but short-circuits equal ids.
 int compareVarNames(VarId L, VarId R);
 
-/// Mints a fresh wildcard id: "$<n>" process-globally, or the scope-local
-/// "$<prefix>x<n>" while a WildcardScope is active on this thread (see
-/// Var.h).  The name is built and interned exactly once, here.
+/// Mints a fresh wildcard id: "$<n>" process-globally, or the frame-local
+/// "$<prefix>x<n>" inside the active context's naming frame
+/// (support/QueryContext.h).  The name is built and interned exactly once,
+/// here.
 VarId freshWildcardId();
 
 /// Number of interned entries (test/introspection hook).

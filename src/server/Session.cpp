@@ -108,9 +108,7 @@ CountResponseMsg Session::handleCount(const CountRequestMsg &M) {
     // diagnostic, not unbounded bignum work.
     Formula F = Formula::trueFormula();
     {
-      BudgetScope BS(Opts.Budget.unlimited()
-                         ? std::shared_ptr<BudgetState>()
-                         : std::make_shared<BudgetState>(Opts.Budget));
+      QueryScope Parse(Opts.Budget);
       ParseResult P = parseFormula(M.Formula);
       if (!P) {
         Host.Queue.release();
@@ -159,10 +157,9 @@ void Session::serve() {
   // Connection-level context: queries on this thread tally into the
   // server's shared stats block, and none of them may join a trace session
   // another client (or the host process) has open.
-  QueryContext Ctx;
-  Ctx.TraceParticipant = false;
-  Ctx.Stats = &Host.Stats;
-  QueryContextScope Scope(Ctx);
+  QueryScope Scope;
+  Scope.context().TraceParticipant = false;
+  Scope.context().Stats = &Host.Stats;
 
   std::vector<uint8_t> Payload;
   while (true) {

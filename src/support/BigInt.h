@@ -22,6 +22,7 @@
 #define OMEGA_SUPPORT_BIGINT_H
 
 #include "support/Error.h"
+#include "support/QueryContext.h"
 
 #include <atomic>
 #include <bit>
@@ -33,39 +34,6 @@
 #include <vector>
 
 namespace omega {
-
-/// Arithmetic-layer observability counters (surfaced through
-/// snapshotPipelineStats(); see support/Stats.h).  Spills — transitions of
-/// a stored value to the heap-allocated limb representation — are always
-/// counted because they are rare and are the signal the allocation-free
-/// claim is checked against.  Per-operation fast/slow tallies cost an
-/// atomic increment on every arithmetic operation, so they are gated
-/// behind CountOps (enabled by `--stats` and the bench harnesses).
-struct ArithCounters {
-  std::atomic<uint64_t> Spills{0};  ///< Limb representations materialized.
-  std::atomic<uint64_t> FastOps{0}; ///< Inline-int64 fast-path operations.
-  std::atomic<uint64_t> SlowOps{0}; ///< Limb slow-path operations.
-  std::atomic<bool> CountOps{false};
-};
-
-namespace detail {
-inline ArithCounters ArithStats;
-/// Per-thread redirect installed by QueryContextScope
-/// (support/QueryContext.h): when non-null, arithmetic counter traffic on
-/// this thread lands in the active query's block instead of the
-/// process-wide counters.  Per-query op counting happens by giving the
-/// block's CountOps flag the query's CountArithOps setting — no process
-/// state is ever mutated.
-inline thread_local ArithCounters *ActiveArithStats = nullptr;
-} // namespace detail
-
-/// The arithmetic counters ops on this thread tally into: the active
-/// query's block under a stats-collecting QueryContextScope, else the
-/// process-wide instance.
-inline ArithCounters &arithCounters() {
-  return detail::ActiveArithStats ? *detail::ActiveArithStats
-                                  : detail::ArithStats;
-}
 
 /// Arbitrary-precision signed integer with a small-value optimization.
 ///

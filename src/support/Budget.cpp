@@ -2,7 +2,7 @@
 
 #include "support/Budget.h"
 
-#include "support/Stats.h"
+#include "support/QueryContext.h"
 #include "support/Trace.h"
 
 #include <chrono>
@@ -10,8 +10,6 @@
 using namespace omega;
 
 namespace {
-
-thread_local std::shared_ptr<BudgetState> ActiveBudget;
 
 uint64_t nowNanos() {
   return static_cast<uint64_t>(
@@ -119,19 +117,10 @@ void BudgetState::trip(const std::string &Limit, const std::string &Where) {
   throw BudgetExceeded(Limit, Where);
 }
 
-BudgetScope::BudgetScope(std::shared_ptr<BudgetState> State)
-    : Prev(std::move(ActiveBudget)) {
-  ActiveBudget = std::move(State);
-}
-
-BudgetScope::~BudgetScope() { ActiveBudget = std::move(Prev); }
-
-const std::shared_ptr<BudgetState> &omega::activeBudget() {
-  return ActiveBudget;
-}
+BudgetState *omega::activeBudget() { return activeQueryContext().Budget; }
 
 void omega::budgetCheckpoint(const char *Where) {
-  BudgetState *B = ActiveBudget.get();
+  BudgetState *B = activeBudget();
   if (!B)
     return;
   if (B->tripped())
@@ -143,7 +132,7 @@ void omega::budgetCheckpoint(const char *Where) {
 void omega::chargeSplinters(uint64_t Count, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  BudgetState *B = activeBudget();
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxSplintersPerElimination;
@@ -154,7 +143,7 @@ void omega::chargeSplinters(uint64_t Count, const char *Where) {
 void omega::chargeClauses(uint64_t Count, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  BudgetState *B = activeBudget();
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxDnfClauses;
@@ -165,7 +154,7 @@ void omega::chargeClauses(uint64_t Count, const char *Where) {
 void omega::chargeDepth(uint64_t Depth, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  BudgetState *B = activeBudget();
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxRecursionDepth;
@@ -176,7 +165,7 @@ void omega::chargeDepth(uint64_t Depth, const char *Where) {
 void omega::chargeCoefficientBits(uint64_t Bits, const char *Where) {
   budgetCheckpoint(Where);
   traceCount(TraceCounter::BudgetCharges);
-  BudgetState *B = ActiveBudget.get();
+  BudgetState *B = activeBudget();
   if (!B)
     return;
   uint64_t Max = B->Limits.MaxCoefficientBits;

@@ -15,6 +15,11 @@
 /// checkpoint that still runs under it (an enclosing frame that catches
 /// and carries on) throws the same limit again.
 ///
+/// A budget is installed as part of the query context: a QueryScope built
+/// from an EffortBudget (support/QueryContext.h) owns the BudgetState and
+/// makes it active for its lifetime, and every charge below reads it
+/// through the active context.
+///
 /// Determinism contract (DESIGN.md §9): the counter limits are charged
 /// against per-instance or container-size quantities, and a query runs on
 /// one thread, so whether a query trips, which limit it reports and the
@@ -30,7 +35,6 @@
 #include "support/Status.h"
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -88,9 +92,9 @@ public:
 };
 
 /// State of one active budget: the limits plus the limit that tripped.
-/// A BudgetState belongs to one query and is only ever used by the thread
-/// that runs it, so it needs no atomics, no mutex and no OMEGA_GUARDED_BY
-/// annotations (DESIGN.md §13).
+/// A BudgetState is owned by the QueryScope that installed it and is only
+/// ever used by the thread that runs that scope, so it needs no atomics, no
+/// mutex and no OMEGA_GUARDED_BY annotations (DESIGN.md §13).
 struct BudgetState {
   explicit BudgetState(EffortBudget Limits);
 
@@ -107,22 +111,8 @@ struct BudgetState {
   [[noreturn]] void trip(const std::string &Limit, const std::string &Where);
 };
 
-/// Installs \p State as this thread's active budget for the scope's
-/// lifetime (restores the previous one on exit).
-class BudgetScope {
-public:
-  explicit BudgetScope(std::shared_ptr<BudgetState> State);
-  ~BudgetScope();
-
-  BudgetScope(const BudgetScope &) = delete;
-  BudgetScope &operator=(const BudgetScope &) = delete;
-
-private:
-  std::shared_ptr<BudgetState> Prev;
-};
-
-/// This thread's active budget, or null when none is installed.
-const std::shared_ptr<BudgetState> &activeBudget();
+/// The active context's budget, or null when none is installed.
+BudgetState *activeBudget();
 
 /// Cheap trip + deadline check; call at pipeline boundaries.  Throws
 /// BudgetExceeded when the budget has already tripped or the deadline has

@@ -2,53 +2,18 @@
 
 #include "support/Stats.h"
 
-#include "support/BigInt.h"
+#include "support/QueryContext.h"
 
 #include <sstream>
 
 using namespace omega;
 
-void PipelineCounters::reset() {
-  FeasibilityTests = 0;
-  ProjectionCalls = 0;
-  ClausesSimplified = 0;
-  SplintersGenerated = 0;
-  CacheHits = 0;
-  CacheMisses = 0;
-  CacheEvictions = 0;
-  CoalescePairs = 0;
-  CoalescePrefiltered = 0;
-  CoalesceMerges = 0;
-  BudgetTrips = 0;
-  DegradedQueries = 0;
-  AutomatonDfaStates = 0;
-  AutomatonProductStates = 0;
-  AutomatonTransitions = 0;
-  BackendFallbacks = 0;
-  EnumeratedPoints = 0;
-  ArithCounters &A = arithCounters();
-  A.Spills = 0;
-  A.FastOps = 0;
-  A.SlowOps = 0;
-  ExprCounters &E = exprCounters();
-  E.Spills = 0;
-  E.InlineOps = 0;
-  SimplifyNanos = 0;
-  DisjointNanos = 0;
-  CoalesceNanos = 0;
-  SummationNanos = 0;
-}
-
 PipelineCounters &omega::pipelineStats() {
-  if (detail::ActivePipelineStats)
-    return *detail::ActivePipelineStats;
-  static PipelineCounters Counters;
-  return Counters;
+  return activeQueryContext().Stats->Pipeline;
 }
 
-PipelineStatsSnapshot omega::snapshotStats(const PipelineCounters &C,
-                                           const ArithCounters &A,
-                                           const ExprCounters &E) {
+PipelineStatsSnapshot omega::snapshotQueryStats(const QueryStatsBlock &B) {
+  const PipelineCounters &C = B.Pipeline;
   PipelineStatsSnapshot S;
   S.FeasibilityTests = C.FeasibilityTests.load();
   S.ProjectionCalls = C.ProjectionCalls.load();
@@ -67,25 +32,48 @@ PipelineStatsSnapshot omega::snapshotStats(const PipelineCounters &C,
   S.AutomatonTransitions = C.AutomatonTransitions.load();
   S.EnumeratedPoints = C.EnumeratedPoints.load();
   S.BackendFallbacks = C.BackendFallbacks.load();
-  S.BigIntSpills = A.Spills.load();
-  S.BigIntFastOps = A.FastOps.load();
-  S.BigIntSlowOps = A.SlowOps.load();
-  S.ExprTermsInline = E.InlineOps.load();
-  S.ExprTermsSpilled = E.Spills.load();
-  S.SimplifyNanos = C.SimplifyNanos.load();
-  S.DisjointNanos = C.DisjointNanos.load();
-  S.CoalesceNanos = C.CoalesceNanos.load();
-  S.SummationNanos = C.SummationNanos.load();
+  S.BigIntSpills = B.Arith.Spills.load();
+  S.BigIntFastOps = B.Arith.FastOps.load();
+  S.BigIntSlowOps = B.Arith.SlowOps.load();
+  S.ExprTermsInline = B.Expr.InlineOps.load();
+  S.ExprTermsSpilled = B.Expr.Spills.load();
   return S;
 }
 
 PipelineStatsSnapshot omega::snapshotPipelineStats() {
-  return snapshotStats(pipelineStats(), arithCounters(), exprCounters());
+  return snapshotQueryStats(*activeQueryContext().Stats);
 }
 
-namespace {
-double ms(uint64_t Nanos) { return static_cast<double>(Nanos) / 1e6; }
-} // namespace
+void omega::foldQueryStats(const QueryStatsBlock &Block) {
+  QueryStatsBlock &Dst = *activeQueryContext().Stats;
+  auto Fold = [](std::atomic<uint64_t> &D, const std::atomic<uint64_t> &S) {
+    if (uint64_t V = S.load(std::memory_order_relaxed))
+      D.fetch_add(V, std::memory_order_relaxed);
+  };
+  const PipelineCounters &Src = Block.Pipeline;
+  Fold(Dst.Pipeline.FeasibilityTests, Src.FeasibilityTests);
+  Fold(Dst.Pipeline.ProjectionCalls, Src.ProjectionCalls);
+  Fold(Dst.Pipeline.ClausesSimplified, Src.ClausesSimplified);
+  Fold(Dst.Pipeline.SplintersGenerated, Src.SplintersGenerated);
+  Fold(Dst.Pipeline.CacheHits, Src.CacheHits);
+  Fold(Dst.Pipeline.CacheMisses, Src.CacheMisses);
+  Fold(Dst.Pipeline.CacheEvictions, Src.CacheEvictions);
+  Fold(Dst.Pipeline.CoalescePairs, Src.CoalescePairs);
+  Fold(Dst.Pipeline.CoalescePrefiltered, Src.CoalescePrefiltered);
+  Fold(Dst.Pipeline.CoalesceMerges, Src.CoalesceMerges);
+  Fold(Dst.Pipeline.BudgetTrips, Src.BudgetTrips);
+  Fold(Dst.Pipeline.DegradedQueries, Src.DegradedQueries);
+  Fold(Dst.Pipeline.AutomatonDfaStates, Src.AutomatonDfaStates);
+  Fold(Dst.Pipeline.AutomatonProductStates, Src.AutomatonProductStates);
+  Fold(Dst.Pipeline.AutomatonTransitions, Src.AutomatonTransitions);
+  Fold(Dst.Pipeline.EnumeratedPoints, Src.EnumeratedPoints);
+  Fold(Dst.Pipeline.BackendFallbacks, Src.BackendFallbacks);
+  Fold(Dst.Arith.Spills, Block.Arith.Spills);
+  Fold(Dst.Arith.FastOps, Block.Arith.FastOps);
+  Fold(Dst.Arith.SlowOps, Block.Arith.SlowOps);
+  Fold(Dst.Expr.Spills, Block.Expr.Spills);
+  Fold(Dst.Expr.InlineOps, Block.Expr.InlineOps);
+}
 
 std::string PipelineStatsSnapshot::toPretty() const {
   std::ostringstream OS;
@@ -114,11 +102,7 @@ std::string PipelineStatsSnapshot::toPretty() const {
      << "  bigint fast/slow ops: " << BigIntFastOps << "/" << BigIntSlowOps
      << "\n"
      << "  expr inline ops:     " << ExprTermsInline << "\n"
-     << "  expr term spills:    " << ExprTermsSpilled << "\n"
-     << "  simplify time:       " << ms(SimplifyNanos) << " ms\n"
-     << "  disjoint time:       " << ms(DisjointNanos) << " ms\n"
-     << "  coalesce time:       " << ms(CoalesceNanos) << " ms\n"
-     << "  summation time:      " << ms(SummationNanos) << " ms\n";
+     << "  expr term spills:    " << ExprTermsSpilled << "\n";
   return OS.str();
 }
 
@@ -127,11 +111,11 @@ std::string PipelineStatsSnapshot::toJson() const {
   // declaration order.  Bump the schema number on any key change so CI and
   // dashboards can detect drift (tools/ci.sh asserts it).
   std::ostringstream OS;
-  // Schema 6 (was 5): drops parallel_batches / parallel_tasks with the
-  // intra-query fan-out.  (Schema 5 added expr_terms_inline /
-  // expr_terms_spilled; schema 4 the coalesce_* counters.)
+  // Schema 7 (was 6): drops simplify_ms / disjoint_ms / coalesce_ms /
+  // summation_ms; per-phase time comes from the trace.  (Schema 6 dropped
+  // parallel_batches / parallel_tasks, schema 5 added expr_terms_*.)
   OS << "{"
-     << "\"schema\": 6, "
+     << "\"schema\": 7, "
      << "\"feasibility_tests\": " << FeasibilityTests << ", "
      << "\"projection_calls\": " << ProjectionCalls << ", "
      << "\"clauses_simplified\": " << ClausesSimplified << ", "
@@ -153,10 +137,6 @@ std::string PipelineStatsSnapshot::toJson() const {
      << "\"bigint_fast_ops\": " << BigIntFastOps << ", "
      << "\"bigint_slow_ops\": " << BigIntSlowOps << ", "
      << "\"expr_terms_inline\": " << ExprTermsInline << ", "
-     << "\"expr_terms_spilled\": " << ExprTermsSpilled << ", "
-     << "\"simplify_ms\": " << ms(SimplifyNanos) << ", "
-     << "\"disjoint_ms\": " << ms(DisjointNanos) << ", "
-     << "\"coalesce_ms\": " << ms(CoalesceNanos) << ", "
-     << "\"summation_ms\": " << ms(SummationNanos) << "}";
+     << "\"expr_terms_spilled\": " << ExprTermsSpilled << "}";
   return OS.str();
 }

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-wide observability for the counting pipeline: cache hit/miss
-/// rates, clause and splinter volumes, and cumulative wall time per
-/// pipeline phase.  Counters are atomics so concurrent queries (omegad
-/// sessions) can fold into the process-wide instance without
-/// coordination; timers are cumulative across nested and concurrent
-/// invocations (a phase entered from four sessions at once accrues
-/// roughly 4x wall time — read them as cost attribution, not elapsed
-/// time).
+/// Observability for the counting pipeline: cache hit/miss rates, clause
+/// and splinter volumes, backend work and the arithmetic and IR layers.
+/// Counters are atomics so concurrent queries (omegad sessions) can fold
+/// into a shared block without coordination.  Where the time went is the
+/// trace's job (support/Trace.h: `--trace-summary` prints total and
+/// exclusive self time per phase); these counters say how much work ran.
 ///
 /// `omegacount --stats` / `omegalint --stats` print the human-readable
 /// form; bench_pipeline emits the JSON form for BENCH_*.json trajectories.
@@ -23,7 +21,6 @@
 #define OMEGA_SUPPORT_STATS_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -65,52 +62,43 @@ struct PipelineCounters {
   std::atomic<uint64_t> AutomatonTransitions{0};
   std::atomic<uint64_t> EnumeratedPoints{0};
   std::atomic<uint64_t> BackendFallbacks{0};
-  // The BigInt small-value optimization (DESIGN.md §10) keeps its own
-  // counters in omega::arithCounters() so the header fast paths need not
-  // see this file; snapshots and reset() fold them in here.
-  // Cumulative wall time per phase, in nanoseconds.
-  std::atomic<uint64_t> SimplifyNanos{0};
-  std::atomic<uint64_t> DisjointNanos{0};
-  std::atomic<uint64_t> CoalesceNanos{0};
-  std::atomic<uint64_t> SummationNanos{0};
-
-  void reset();
 };
 
-/// IR-layer observability counters (the flat term storage of
-/// presburger/AffineExpr.h; surfaced through snapshotPipelineStats()).
+/// Arithmetic-layer counters (the BigInt small-value optimization,
+/// DESIGN.md §10).  Spills — transitions of a stored value to the
+/// heap-allocated limb representation — are always counted because they
+/// are rare and are the signal the allocation-free claim is checked
+/// against.  Per-operation fast/slow tallies cost an atomic increment on
+/// every arithmetic operation, so they are gated behind CountOps (enabled
+/// by `--stats` and the bench harnesses).
+struct ArithCounters {
+  std::atomic<uint64_t> Spills{0};  ///< Limb representations materialized.
+  std::atomic<uint64_t> FastOps{0}; ///< Inline-int64 fast-path operations.
+  std::atomic<uint64_t> SlowOps{0}; ///< Limb slow-path operations.
+  std::atomic<bool> CountOps{false};
+};
+
+/// IR-layer counters (the flat term storage of presburger/AffineExpr.h).
 /// Spills — heap term arrays materialized for expressions wider than the
 /// inline capacity — are always counted.  Per-operation inline tallies are
 /// gated behind the same CountOps flag as the BigInt fast/slow counters.
-/// Defined here rather than next to AffineExpr so QueryStatsBlock
-/// (support/QueryContext.h) can hold one per query.
 struct ExprCounters {
   std::atomic<uint64_t> Spills{0};    ///< Heap term arrays allocated.
   std::atomic<uint64_t> InlineOps{0}; ///< Term mutations completed inline.
 };
 
-struct ArithCounters; // support/BigInt.h
+/// One complete counter set.  The process has one (what work outside any
+/// stats-collecting query tallies into); a query that collects stats has
+/// its own, and its context (support/QueryContext.h) resolves every
+/// counter site to it.
+struct QueryStatsBlock {
+  PipelineCounters Pipeline;
+  ArithCounters Arith;
+  ExprCounters Expr;
+};
 
-namespace detail {
-inline ExprCounters ExprStats;
-/// Per-thread redirect targets installed by QueryContextScope
-/// (support/QueryContext.h): when non-null, counter traffic on this thread
-/// lands in the active query's block instead of the process-wide globals.
-inline thread_local PipelineCounters *ActivePipelineStats = nullptr;
-inline thread_local ExprCounters *ActiveExprStats = nullptr;
-} // namespace detail
-
-/// The expression counters ops on this thread tally into: the active
-/// query's block under a stats-collecting QueryContextScope, else the
-/// process-wide instance.
-inline ExprCounters &exprCounters() {
-  return detail::ActiveExprStats ? *detail::ActiveExprStats
-                                 : detail::ExprStats;
-}
-
-/// The counter instance work on this thread attributes to: the active
-/// query's block under a stats-collecting QueryContextScope, else the
-/// process-wide instance.
+/// The pipeline counters work on this thread attributes to: the active
+/// context's block (support/QueryContext.h).
 PipelineCounters &pipelineStats();
 
 /// A plain copy of the counters at one instant.
@@ -131,7 +119,6 @@ struct PipelineStatsSnapshot {
   // per-op BigInt tallies) and heap term arrays materialized past
   // InlineCapacity.
   uint64_t ExprTermsInline, ExprTermsSpilled;
-  uint64_t SimplifyNanos, DisjointNanos, CoalesceNanos, SummationNanos;
 
   /// One-line-per-counter human form (for --stats).
   std::string toPretty() const;
@@ -139,33 +126,19 @@ struct PipelineStatsSnapshot {
   std::string toJson() const;
 };
 
-/// A snapshot of an explicit counter triple (a per-query block, or the
-/// globals via snapshotPipelineStats()).
-PipelineStatsSnapshot snapshotStats(const PipelineCounters &P,
-                                    const ArithCounters &A,
-                                    const ExprCounters &E);
+/// Snapshot of one block (a query's CountResult::Stats, a server's sink).
+PipelineStatsSnapshot snapshotQueryStats(const QueryStatsBlock &Block);
 
-/// Snapshot of the counters this thread currently resolves to.
+/// Snapshot of the block this thread currently resolves to.
 PipelineStatsSnapshot snapshotPipelineStats();
 
-/// RAII: adds the elapsed wall time to one of the phase counters.
-class PhaseTimer {
-public:
-  explicit PhaseTimer(std::atomic<uint64_t> &Target)
-      : Target(Target), Start(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    auto End = std::chrono::steady_clock::now();
-    Target += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-            .count());
-  }
-  PhaseTimer(const PhaseTimer &) = delete;
-  PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-private:
-  std::atomic<uint64_t> &Target;
-  std::chrono::steady_clock::time_point Start;
-};
+/// Adds every counter of \p Block into the block this thread currently
+/// resolves to.  Called after the query's scope pops, so a nested query
+/// folds into its enclosing collector and a top-level query folds into the
+/// process-wide counters — process-wide observability (--stats at tool
+/// exit) keeps seeing all work.  The CountOps flag is configuration, not a
+/// tally, and is not folded.
+void foldQueryStats(const QueryStatsBlock &Block);
 
 } // namespace omega
 

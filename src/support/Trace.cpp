@@ -108,6 +108,7 @@ struct ThreadState {
   }
 };
 
+// omegatidy: allow(thread-local) per-thread recorder storage (DESIGN.md §12)
 thread_local ThreadState TLS;
 
 uint64_t sinceSessionStartNs() {
@@ -159,7 +160,7 @@ TraceSpan::TraceSpan(const char *Name) : Rec(nullptr) {
   // into it.  This constructor is the one place spans are born, so gating
   // here covers the whole subsystem; with no span open, traceCount /
   // traceAnnotate already no-op through TLS.Open.
-  if (const QueryContext *Ctx = activeQueryContext(); Ctx && !Ctx->TraceParticipant)
+  if (!activeQueryContext().TraceParticipant)
     return;
   // Tracing-on cost is not gated; the open-span stack is intrusive and
   // per-thread, released in ~TraceSpan.  omegatidy: allow(naked-new)

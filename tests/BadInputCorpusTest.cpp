@@ -9,6 +9,7 @@
 
 #include "presburger/Parser.h"
 #include "support/Budget.h"
+#include "support/QueryContext.h"
 #include "tools/FormulaFile.h"
 
 #include <gtest/gtest.h>
@@ -43,7 +44,7 @@ std::string diagnoseFile(const std::string &Path) {
     return Err;
   EffortBudget B;
   B.MaxCoefficientBits = 64;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  QueryScope Scope(B);
   ParseResult R = parseFormula(In.FormulaText);
   if (!R)
     return R.Error;

@@ -522,9 +522,8 @@ TEST(ConjunctCache, UncachedFeasibilityInternsNoFreshNames) {
   EXPECT_LE(varTableSize(), Before + 1) << "capacity 0";
 
   configureConjunctCache(size_t(1) << 14);
-  QueryContext NoCache;
-  NoCache.CacheEnabled = false;
-  QueryContextScope Scope(NoCache);
+  QueryScope NoCache;
+  NoCache.context().CacheEnabled = false;
   Before = varTableSize();
   for (int I = 0; I < 1000; ++I)
     ASSERT_TRUE(feasible(C));

@@ -285,6 +285,22 @@ TEST(Omegatidy, LegacyKnobSettersBanned) {
                   .empty());
 }
 
+TEST(Omegatidy, ThreadLocalNeedsAReason) {
+  const std::string Code = "thread_local unsigned Depth = 0;\n";
+  EXPECT_EQ(rulesOf(lint("src/omega/C.cpp", Code)),
+            std::vector<std::string>{"thread-local"});
+  EXPECT_EQ(rulesOf(lint("src/a/B.cpp", "inline thread_local int *P;\n")),
+            std::vector<std::string>{"thread-local"});
+  // Per-thread storage that says why it is not per-query state passes.
+  EXPECT_TRUE(lint("src/omega/C.cpp",
+                   "// omegatidy: allow(thread-local) per-thread memo\n" +
+                       Code)
+                  .empty());
+  // Tests, tools and benches may keep per-thread state freely.
+  EXPECT_TRUE(lint("tests/T.cpp", Code).empty());
+  EXPECT_TRUE(lint("bench/b.cpp", Code).empty());
+}
+
 // --- On-disk fixtures ----------------------------------------------------
 
 TEST(OmegatidyFixtures, DirtyTreeFindsEverything) {
@@ -322,6 +338,7 @@ TEST(OmegatidyFixtures, DirtyTreeFindsEverything) {
                            "naked-new",       // new int(3)
                            "naked-new",       // malloc(16)
                            "naked-new",       // free(Buf)
+                           "thread-local",    // PerQueryDepth
                            "trace-span-temp", // TraceSpan("phase")
                            "trace-span-temp", // omega::TraceSpan("sub")
                        }));

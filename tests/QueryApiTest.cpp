@@ -45,9 +45,8 @@ std::string plainCount(const Formula &F, const VarSet &Vars) {
 std::string optionsCount(const Formula &F, const VarSet &Vars, bool Cache) {
   clearConjunctCache();
   resetWildcardState();
-  QueryContext Enclosing;
-  Enclosing.CacheEnabled = !Cache;
-  QueryContextScope Scope(Enclosing);
+  QueryScope Enclosing;
+  Enclosing.context().CacheEnabled = !Cache;
   CountOptions CO;
   CO.CacheEnabled = Cache;
   CountResult CR = countSolutions(F, Vars, CO);
@@ -268,10 +267,6 @@ TEST(QueryApi, EveryCounterMovesAndFolds) {
       // Six terms: more than an expression's four inline slots.
       {"ExprTermsSpilled", &S::ExprTermsSpilled, "0 <= a <= b + c + d + e + f",
        {"a"}},
-      {"SimplifyNanos", &S::SimplifyNanos, Triangle, {"i", "j"}},
-      {"DisjointNanos", &S::DisjointNanos, Adjacent, {"i"}},
-      {"CoalesceNanos", &S::CoalesceNanos, Adjacent, {"i"}},
-      {"SummationNanos", &S::SummationNanos, Triangle, {"i", "j"}},
   };
   // Every field has exactly one row: a new counter needs a row here.
   constexpr size_t NumRows = sizeof(Rows) / sizeof(Rows[0]);
@@ -328,9 +323,8 @@ TEST(QueryApi, StatsFoldIntoEnclosingCollector) {
   VarSet Vars{"i", "j"};
 
   QueryStatsBlock Outer;
-  QueryContext Ctx;
-  Ctx.Stats = &Outer;
-  QueryContextScope Scope(Ctx);
+  QueryScope Scope;
+  Scope.context().Stats = &Outer;
 
   clearConjunctCache();
   resetWildcardState();
@@ -341,6 +335,74 @@ TEST(QueryApi, StatsFoldIntoEnclosingCollector) {
   EXPECT_EQ(snapshotQueryStats(Outer).FeasibilityTests,
             CR.Stats.FeasibilityTests)
       << "per-query block did not fold into the enclosing collector";
+}
+
+TEST(QueryApi, BudgetTripUnderPinnedDisjunctRestoresContext) {
+  // Figure 1's clause, projected inside a forEachDisjunct item: the
+  // projection runs under a memo pin, and a one-bit coefficient budget
+  // trips inside it.  Unwinding through the pin and the item must leave
+  // the enclosing context exactly as it was.
+  ParseResult R = parseFormula("0 <= 3*b - a <= 7 && 1 <= a - 2*b <= 5");
+  ASSERT_TRUE(R) << R.Error;
+  std::vector<Conjunct> D = simplify(*R.Value);
+  ASSERT_EQ(D.size(), 1u);
+  clearConjunctCache();
+  resetWildcardState();
+
+  const QueryContext *Root = &activeQueryContext();
+  {
+    QueryStatsBlock Block;
+    EffortBudget Tiny;
+    Tiny.MaxCoefficientBits = 1;
+    QueryScope Enclosing(Tiny, NamingFrame("q", 0));
+    Enclosing.context().Stats = &Block;
+    const QueryContext *Ctx = &activeQueryContext();
+    BudgetState *Budget = activeBudget();
+    NamingFrame *Frame = Ctx->Naming;
+    ASSERT_NE(Frame, nullptr);
+    (void)freshWildcardId();
+    const unsigned Counter = Frame->Counter;
+
+    std::string Where;
+    try {
+      forEachDisjunct(2, [&](size_t) { (void)projectVars(D[0], {"b"}); });
+      ADD_FAILURE() << "expected BudgetExceeded";
+    } catch (const BudgetExceeded &E) {
+      Where = E.Where;
+    }
+    EXPECT_EQ(Where, "projection");
+    EXPECT_EQ(&activeQueryContext(), Ctx);
+    EXPECT_EQ(activeBudget(), Budget);
+    EXPECT_TRUE(Budget->tripped());
+    EXPECT_EQ(activeQueryContext().Naming, Frame);
+    EXPECT_EQ(activeQueryContext().pinDepth(), 0u);
+    EXPECT_EQ(activeQueryContext().Stats, &Block);
+    // The item and the pin minted in their own frames, not in this one.
+    EXPECT_EQ(Frame->Counter, Counter);
+    EXPECT_EQ(Block.Pipeline.BudgetTrips.load(), 1u);
+  }
+  EXPECT_EQ(&activeQueryContext(), Root);
+  EXPECT_EQ(activeBudget(), nullptr);
+  EXPECT_EQ(activeQueryContext().Naming, nullptr);
+}
+
+TEST(QueryApi, BudgetOnlyChildSharesNamingFrame) {
+  // A child that replaces only the budget (the degraded passes, omegad's
+  // parse) mints in its parent's frame: a copied counter would hand out
+  // "$qx1" twice within one query and let two wildcards capture each other.
+  EffortBudget Pass;
+  Pass.MaxDnfClauses = 64;
+  QueryScope Query(NamingFrame("q", 0));
+  const VarId First = freshWildcardId();
+  VarId Second;
+  {
+    QueryScope Child(Pass);
+    Second = freshWildcardId();
+  }
+  const VarId Third = freshWildcardId();
+  EXPECT_EQ(varName(First), "$qx0");
+  EXPECT_EQ(varName(Second), "$qx1");
+  EXPECT_EQ(varName(Third), "$qx2");
 }
 
 TEST(QueryApi, CountBatchIsolatesStatsPerElement) {

@@ -73,7 +73,7 @@ TEST(Protocol, CountResponseRoundTrip) {
   M.Upper = "15";
   M.ErrorText = "clauses=1";
   M.Backend = "pugh";
-  M.StatsJson = "{\"schema\": 6}";
+  M.StatsJson = "{\"schema\": 7}";
   std::vector<uint8_t> Bytes = encodeCountResponse(M);
   CountResponseMsg Out;
   ASSERT_TRUE(decodeCountResponse(Bytes, Out));
@@ -502,8 +502,8 @@ TEST(ServerEndToEnd, PingStatsAndPerClientCounters) {
   M.CollectStats = true;
   CountResponseMsg R = roundTrip(Fd, M);
   EXPECT_EQ(R.Outcome, QueryOutcome::Exact);
-  EXPECT_NE(R.StatsJson.find("\"schema\": 6"), std::string::npos)
-      << "per-query stats delta should be schema-6 JSON: " << R.StatsJson;
+  EXPECT_NE(R.StatsJson.find("\"schema\": 7"), std::string::npos)
+      << "per-query stats delta should be schema-7 JSON: " << R.StatsJson;
 
   ASSERT_EQ(writeFrame(Fd, encodeEmpty(MsgType::StatsRequest)),
             IoStatus::Ok);

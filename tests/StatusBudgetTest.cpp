@@ -11,6 +11,7 @@
 #include "counting/Summation.h"
 #include "presburger/Parser.h"
 #include "support/Budget.h"
+#include "support/QueryContext.h"
 #include "support/Status.h"
 
 #include <gtest/gtest.h>
@@ -110,8 +111,7 @@ TEST(BudgetTest, RelaxedScalesOnlySetKnobs) {
 TEST(BudgetTest, ChargeTripsAndSetsToken) {
   EffortBudget B;
   B.MaxSplintersPerElimination = 2;
-  auto State = std::make_shared<BudgetState>(B);
-  BudgetScope Scope(State);
+  QueryScope Scope(B);
   EXPECT_NO_THROW(chargeSplinters(2, "test"));
   try {
     chargeSplinters(3, "test");
@@ -123,7 +123,7 @@ TEST(BudgetTest, ChargeTripsAndSetsToken) {
   }
   // The state is now tripped: every later checkpoint bails, even ones
   // that would be within their own limit.
-  EXPECT_TRUE(State->tripped());
+  EXPECT_TRUE(activeBudget()->tripped());
   EXPECT_THROW(budgetCheckpoint("elsewhere"), BudgetExceeded);
   // A later checkpoint reports the limit that tripped the state, not a
   // bare "cancelled".
@@ -146,7 +146,7 @@ TEST(BudgetTest, CheckpointIsNoOpWithoutBudget) {
 TEST(BudgetTest, DeadlineTripsAfterExpiry) {
   EffortBudget B;
   B.DeadlineMs = 1;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  QueryScope Scope(B);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_THROW(budgetCheckpoint("test"), BudgetExceeded);
 }
@@ -234,7 +234,7 @@ TEST(BudgetedCountTest, SymbolicBoundsBracketTruth) {
 }
 
 TEST(BudgetedCountTest, DegradedOutputIdenticalAcrossRuns) {
-  // The degraded passes run under a pinned wildcard scope, so a second run
+  // The degraded passes run in naming frames of their own, so a second run
   // prints the same bounds although the process-wide wildcard counters
   // have moved on since the first.
   const char *Text = "(1 <= i <= n && 2*i <= 3*j && 1 <= j <= n)"
@@ -258,7 +258,7 @@ TEST(BudgetedCountTest, ParseLiteralGuardUnderBudget) {
   // positioned diagnostic instead of a throw.
   EffortBudget B;
   B.MaxCoefficientBits = 64;
-  BudgetScope Scope(std::make_shared<BudgetState>(B));
+  QueryScope Scope(B);
   ParseResult R = parseFormula(
       "1 <= i <= 340282366920938463463374607431768211456");
   EXPECT_FALSE(R);

@@ -1,6 +1,6 @@
 // omegatidy negative fixture (never compiled): expression-level
 // violations — assert in src/, naked allocation, unnamed TraceSpan,
-// retired global-knob setters.
+// retired global-knob setters, an unannotated thread_local.
 
 #include <assert.h>
 
@@ -19,3 +19,5 @@ void knobs() {
   omega::setConjunctCacheCapacity(1 << 12);
   setArithOpCounting(true);
 }
+
+thread_local unsigned PerQueryDepth = 0;

@@ -20,7 +20,6 @@
 
 #include "counting/Backend.h"
 #include "omega/Omega.h"
-#include "support/BigInt.h"
 #include "support/QueryContext.h"
 
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 
 namespace omega {
@@ -37,8 +35,6 @@ namespace omega {
 /// reporting toggles they imply.
 struct ToolOptions {
   CountOptions Count;
-  /// --budget was given (Count.Budget may still be all-unlimited).
-  bool HaveBudget = false;
   /// --backend was given: route the query through the unified CountResult
   /// API and report which backend answered.
   bool HaveBackend = false;
@@ -113,7 +109,6 @@ parseSharedOption(int Argc, char **Argv, int &I, ToolOptions &Opts,
     if (!B)
       Fail(B.error().toString());
     Opts.Count.Budget = *B;
-    Opts.HaveBudget = true;
   };
   auto SetBackend = [&](const std::string &Name) {
     if (!backendKindFromName(Name, Opts.Count.Backend))
@@ -149,35 +144,18 @@ parseSharedOption(int Argc, char **Argv, int &I, ToolOptions &Opts,
   return true;
 }
 
-/// The tool-level query environment: a QueryContext carrying the parsed
-/// knobs plus a stats collector for the whole invocation, installed on the
-/// main thread for the tool's lifetime (the re-entrant replacement for the
-/// retired process-global setters).  Tool code paths that do not route
-/// through the CountOptions entry point (simplify-only printing, the lint
-/// sweep) read the knobs through the active context; queries that do route
-/// through it nest beneath this scope and fold their stats back into
-/// Block, so --stats at exit reports the whole run.
-class ToolQueryScope {
-public:
-  explicit ToolQueryScope(const ToolOptions &Opts) {
-    Block.Arith.CountOps.store(Opts.Count.CountArithOps,
-                               std::memory_order_relaxed);
-    Ctx.CacheEnabled = Opts.Count.CacheEnabled;
-    Ctx.Stats = &Block;
-    if (Opts.Count.CacheEnabled &&
-        Opts.Count.CacheCapacity > conjunctCacheCapacity())
-      configureConjunctCache(Opts.Count.CacheCapacity);
-    Scope.emplace(Ctx);
-  }
-
-  /// This invocation's accumulated counters (for the --stats report).
-  PipelineStatsSnapshot stats() const { return snapshotQueryStats(Block); }
-
-private:
-  QueryStatsBlock Block;
-  QueryContext Ctx;
-  std::optional<QueryContextScope> Scope;
-};
+/// Applies the parsed knobs to the process, which the tool owns: the
+/// conjunct cache gets exactly the requested capacity (0 under
+/// --no-cache), and the process-wide counters that --stats prints at exit
+/// count per-operation arithmetic when asked.  Call before any query runs,
+/// outside any QueryScope.  Queries routed through CountOptions run in
+/// their own context and fold their counters back into the process's.
+inline void configureToolProcess(const ToolOptions &Opts) {
+  configureConjunctCache(Opts.Count.CacheEnabled ? Opts.Count.CacheCapacity
+                                                 : 0);
+  arithCounters().CountOps.store(Opts.Count.CountArithOps,
+                                 std::memory_order_relaxed);
+}
 
 /// Starts the process-wide trace session when --trace/--trace-summary was
 /// given.  Call once, before the traced work.

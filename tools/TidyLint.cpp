@@ -363,6 +363,17 @@ private:
                  T.Text + " was removed with the global-knob API; pass "
                  "CountOptions per query (omega/Omega.h) or configure the "
                  "server via ServerOptions (DESIGN.md §17)");
+
+      // A query's environment lives in its QueryContext, reached through
+      // the one thread-local context pointer; another thread_local is
+      // either more per-query state that belongs there or per-thread
+      // storage that must say why it is not.
+      if (InSrc && T.Text == "thread_local")
+        report(T, "thread-local",
+               "thread_local in src/; per-query state belongs in the "
+               "QueryContext (support/QueryContext.h), and per-thread "
+               "storage needs `omegatidy: allow(thread-local)` with a "
+               "reason (DESIGN.md §13)");
     }
 
     guardedByRule();

@@ -35,6 +35,10 @@
 ///                    guards with OMEGA_SUPPORT_CACHE_H.
 ///   include-hygiene  no ".." in quoted includes (include paths are rooted
 ///                    at src/), and no `using namespace` in headers.
+///   thread-local     no thread_local in src/ without a suppression giving
+///                    the reason: per-query state hangs off the one
+///                    context pointer (support/QueryContext.h), so only
+///                    per-thread recorder and memo storage may opt out.
 ///
 /// A finding on line N is silenced by `// omegatidy: allow(rule)` on line
 /// N or N-1 (so the comment can sit on its own line above the construct).

@@ -56,7 +56,7 @@ server_leg() {
   "$dir/tools/omegaclient" --socket "$sock" --batch "$list" --check \
     --connections 4 >/dev/null
   "$dir/tools/omegaclient" --socket "$sock" --stats \
-    | grep -q '"schema": 6' || {
+    | grep -q '"schema": 7' || {
       echo "server: stats reply missing pipeline schema" >&2; exit 1; }
   drain_omegad omegad
 
@@ -156,7 +156,7 @@ assert all(s["checksum_ok"] for s in arith["sections"])
 assert pipe["schema"] == 6, "bench_pipeline JSON schema drifted"
 assert pipe["answers_identical"], "bench_pipeline answers diverged"
 assert len(pipe["configs"]) == 3
-assert all(c["stats"]["schema"] == 6 for c in pipe["configs"])
+assert all(c["stats"]["schema"] == 7 for c in pipe["configs"])
 # Coalesce gates (quick run, deterministic counters): the indexed worklist
 # must beat the committed pre-index baseline by the ISSUE's bars on the
 # full-scale bench; on the quick bench the counters are deterministic, so

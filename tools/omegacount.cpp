@@ -204,17 +204,13 @@ int runTool(int Argc, char **Argv) {
   }
   if (FormulaText.empty())
     fail("no formula given (try --help)");
-  // Install the tool-level query environment (cache, stats
-  // collection) for the rest of the run; queries nest beneath it.
-  ToolQueryScope QueryScope(TO);
+  configureToolProcess(TO);
   const EffortBudget &Budget = TO.Count.Budget;
   Formula F = Formula::trueFormula();
   {
     // Parse under the budget so oversized literals are rejected before any
     // arithmetic touches them (a parse diagnostic, not a throw).
-    BudgetScope Scope(TO.HaveBudget
-                          ? std::make_shared<BudgetState>(Budget)
-                          : std::shared_ptr<BudgetState>());
+    QueryScope Parse(Budget);
     ParseResult R = parseFormula(FormulaText);
     if (!R)
       fail("parse: " + R.Error);
@@ -267,11 +263,11 @@ int runTool(int Argc, char **Argv) {
     return Finish();
   }
 
-  if (TO.HaveBudget && !Budget.unlimited()) {
+  if (!Budget.unlimited()) {
     // Budgeted path: no separate DNF print (the exact simplification is
     // itself subject to the budget inside the budgeted summation).
     if (SimplifyOnly) {
-      BudgetScope Scope(std::make_shared<BudgetState>(Budget));
+      QueryScope Scope(Budget);
       SimplifyOptions SOpts;
       SOpts.Disjoint = true;
       std::vector<Conjunct> D = simplify(F, SOpts);

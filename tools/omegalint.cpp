@@ -201,9 +201,7 @@ void lintFile(const std::string &Path, LintStats &Stats) {
 /// problem report and the sweep continues.
 void lintOne(const std::string &Path, LintStats &Stats) {
   try {
-    BudgetScope Scope(TO.HaveBudget
-                          ? std::make_shared<BudgetState>(TO.Count.Budget)
-                          : std::shared_ptr<BudgetState>());
+    QueryScope Scope(TO.Count.Budget);
     lintFile(Path, Stats);
   } catch (const std::exception &E) {
     problem(Stats, Path, E.what());
@@ -241,9 +239,7 @@ int runTool(int Argc, char **Argv) {
     std::cerr << "omegalint: no inputs (try --help)\n";
     return 1;
   }
-  // Install the tool-level query environment (cache, stats
-  // collection) for the whole sweep.
-  ToolQueryScope QueryScope(TO);
+  configureToolProcess(TO);
   startToolTrace(TO);
 
   LintStats Stats;
